@@ -137,6 +137,9 @@ def _cond_entropy_values(reordered, thetas, phis):
     return out
 
 
+_POLE_AZIMUTHS = np.array([0.0, np.pi, 0.5 * np.pi, -0.5 * np.pi])
+
+
 def _minimize_batch(rhos: np.ndarray, grid=GRID_SHAPE, step_tol=STEP_TOL):
     """Lockstep grid + compass search over (theta, phi) for a stack of states.
 
@@ -163,10 +166,15 @@ def _minimize_batch(rhos: np.ndarray, grid=GRID_SHAPE, step_tol=STEP_TOL):
     while active.any():
         idx = np.nonzero(active)[0]
         st = step[idx]
-        cand_th = np.stack([best_th[idx] + st, best_th[idx] - st,
-                            best_th[idx], best_th[idx]], axis=1)
-        cand_ph = np.stack([best_ph[idx], best_ph[idx],
-                            best_ph[idx] + st, best_ph[idx] - st], axis=1)
+        th, ph = best_th[idx], best_ph[idx]
+        cand_th = np.stack([th + st, th - st, th, th], axis=1)
+        cand_ph = np.stack([ph, ph, ph + st, ph - st], axis=1)
+        # theta = 0 and pi/2 are poles of the chart, where phi steps do not
+        # move the measurement: step off the pole along four meridians instead
+        pole = (th == 0.0) | (th == np.pi / 2)
+        off_pole = np.where(th == 0.0, st, np.pi / 2 - st)
+        cand_th[pole] = off_pole[pole, None]
+        cand_ph[pole] = ph[pole, None] + _POLE_AZIMUTHS
         cand_th = np.clip(cand_th, 0.0, np.pi / 2)
         cand_ph = np.mod(cand_ph, 2.0 * np.pi)
         vals = _cond_entropy_values(reordered[idx], cand_th, cand_ph)

@@ -31,7 +31,7 @@ class ScenarioError(EmitterSimError, ValueError):
 
 
 class PropagationError(EmitterSimError, RuntimeError):
-    """Integrator failed, or a propagated state left the physical manifold."""
+    """A propagated state left the physical manifold."""
 
 
 class NumericsError(EmitterSimError, RuntimeError):

@@ -131,7 +131,7 @@ def clamped_spectrum(rho: np.ndarray, neg_tol: float = NEGATIVITY_TOL) -> np.nda
     """Eigenvalues with roundoff negatives clamped to 0.
 
     Eigenvalues in [-neg_tol, 0) become 0; anything below -neg_tol raises
-    NonPhysicalStateError (that is an integrator failure, not roundoff).
+    NonPhysicalStateError (that is a numerical failure, not roundoff).
     """
     ev = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
     if ev.min() < -neg_tol:

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import states
 from .correlations import (classical_correlations, conditional_entropy,
@@ -341,6 +340,9 @@ def check_driven_stationarity() -> CheckResult:
 def check_optimizer_soundness() -> CheckResult:
     """Criterion 9: optimizer vs 512x512 grid + Nelder-Mead polish on 100 random
     states, and the additivity identity QD + CC = MI."""
+    # imported here, its only user, to keep scipy.optimize out of CLI start-up
+    from scipy.optimize import minimize
+
     res = CheckResult("optimizer_soundness")
     rng = np.random.default_rng(20260810)
     th_axis = np.linspace(0.0, np.pi / 2, 512)

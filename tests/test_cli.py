@@ -1,4 +1,8 @@
 """CLI subcommands, exit codes, and the Fig.-1 scenario regression."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -20,6 +24,17 @@ geometry.mu2 = 0 0 1
 geometry.r12_hat = 1 0 0
 geometry.r12_over_lambda0 = 0.108
 """
+
+
+def test_cli_import_leaves_out_integrate_and_optimize():
+    # a fresh interpreter, so that modules other tests imported do not count
+    code = ("import sys, ecsim.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_couplings_command(tmp_path, capsys):

@@ -10,8 +10,8 @@ from ecsim import (AlphaState, MeasurementBasis, NumericsError, SystemParams,
                    entanglement_of_formation, entropy_bound_check,
                    eof_from_concurrence, ground_state,
                    minimize_conditional_entropy, mutual_information,
-                   partial_trace, post_measurement_state, quantum_discord,
-                   von_neumann_entropy, xstate_concurrence,
+                   partial_trace, post_measurement_state, propagate,
+                   quantum_discord, von_neumann_entropy, xstate_concurrence,
                    xstate_conditional_entropy_branches)
 from helpers import (oracle_min_conditional_entropy, random_density_matrix,
                      random_pure_ket)
@@ -176,6 +176,30 @@ def test_optimizer_against_independent_oracle(rng):
         rho = random_density_matrix(rng)
         fast, _ = minimize_conditional_entropy(rho)
         assert fast == pytest.approx(oracle_min_conditional_entropy(rho), abs=1e-5)
+
+
+# driven trajectories whose 64x64 grid best sits on the theta_m = pi/2 pole of
+# the (theta, phi) chart, with the true minimum about 0.011 rad off the pole:
+# (params, alpha, phi, t_final, samples, sample index)
+POLE_CASES = (
+    (dict(V=2.4406972461864864, gamma=0.43590913784183927,
+          delta_plus=-0.50451727081532, ell1=2.97067697396973,
+          ell2=2.97067697396973),
+     0.06002114299431538, 1.9400067550059932, 7.139642466842947, 90, 3),
+    (dict(V=3.3082009922093585, gamma=-0.6966994633765234,
+          delta_minus=0.34661664707033235, delta_plus=0.023199098430765286,
+          ell1=4.197796209782541, ell2=3.5546574754461044),
+     0.5245358217456259, 5.801829986704557, 6.56437995030004, 224, 54),
+)
+
+
+@pytest.mark.parametrize("params, alpha, phi, t_final, samples, k", POLE_CASES,
+                         ids=["t=0.2407", "t=1.5896"])
+def test_optimizer_leaves_chart_pole(params, alpha, phi, t_final, samples, k):
+    rho = propagate(AlphaState(alpha, phi).density(), SystemParams(**params),
+                    t_final, samples).states[k]
+    value, _ = minimize_conditional_entropy(rho)
+    assert value == pytest.approx(oracle_min_conditional_entropy(rho), abs=1e-6)
 
 
 def test_minimize_returns_achieving_basis(rng):

@@ -1,10 +1,12 @@
 """Hamiltonian construction, Lindblad generator, propagation, closed forms."""
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+import ecsim.dynamics
 from ecsim import (AlphaState, AnalyticFormError, NonPhysicalStateError,
-                   SystemParams, analytic_evolution, build_bell_diagonal,
-                   build_hamiltonian, bell_ket, density_from_ket,
+                   PropagationError, SystemParams, analytic_evolution,
+                   build_bell_diagonal, build_hamiltonian, bell_ket, density_from_ket,
                    doubly_excited_state, ground_state, lindblad_rhs,
                    liouvillian, partial_trace, propagate, stationary_state,
                    validate_state)
@@ -122,6 +124,72 @@ def test_propagate_project_flag():
         assert np.abs(rho - rho.conj().T).max() == 0.0
 
 
+def test_propagate_coarse_sampling_of_long_driven_run():
+    # 201 samples over t = 280: spacing 1.4/Gamma, far wider than the fastest
+    # oscillation of the generator; every sample is still an exact power
+    p = SystemParams(V=4.226785501521201, gamma=0.8515733198807643,
+                     Gamma2=0.8886386486798366, delta_plus=0.8700097433467899,
+                     delta_minus=0.42038176521060944, ell1=1.7247283633305956,
+                     ell2=1.8039190281433009)
+    result = propagate(ground_state(), p, 280.43143516679487, 201)
+    for rho in result.states:
+        assert validate_state(rho).ok
+    assert np.abs(result.states[-1] - stationary_state(p)).max() < 1e-8
+
+
+def test_propagate_matches_independent_integration(rng):
+    # the ODE route through lindblad_rhs shares no code with liouvillian/expm
+    p = SystemParams(V=1.3, gamma=0.35, Gamma1=1.0, Gamma2=0.6,
+                     delta_minus=0.45, delta_plus=-0.7, ell1=1.1, ell2=0.4)
+    rho0 = random_density_matrix(rng)
+    result = propagate(rho0, p, 6.0, 61)
+    sol = solve_ivp(lambda _t, y: lindblad_rhs(y.reshape(4, 4), p).ravel(),
+                    (0.0, 6.0), rho0.ravel(), method="DOP853", rtol=1e-12,
+                    atol=1e-14, t_eval=result.times)
+    assert sol.success
+    reference = sol.y.T.reshape(-1, 4, 4)
+    assert np.abs(result.states - reference).max() < 1e-8
+
+
+def test_propagate_names_first_failing_sample(monkeypatch):
+    # a uniform leak of 3e-11 per unit time breaks the 1e-9 trace tolerance
+    # between t = 33 (defect 9.9e-10) and t = 34 (defect 1.02e-9)
+    exact = ecsim.dynamics.liouvillian
+    monkeypatch.setattr(ecsim.dynamics, "liouvillian",
+                        lambda params: exact(params) - 3e-11 * np.eye(16))
+    p = SystemParams(V=2.0, gamma=0.5)
+    with pytest.raises(PropagationError, match=r"at sample 34 \(t = 34\)"):
+        propagate(AlphaState(0.3, 0.7).density(), p, 40.0, 41)
+
+
+def test_batched_validation_matches_validate_state(rng):
+    # each defect alone, on one sample of an otherwise valid stack: the batch
+    # must stop at the first sample validate_state rejects and report its defects
+    bad = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    bad[0, 1] = 2e-9                                   # Hermiticity
+    leaky = random_density_matrix(rng) * (1.0 + 2e-9)  # trace
+    negative = np.diag([0.6, 0.4 + 2e-8, -2e-8, 0.0]).astype(complex)
+    for defect in (bad, leaky, negative):
+        stack = np.stack([random_density_matrix(rng) for _ in range(6)])
+        stack[4] = defect
+        stack[5] = defect
+        reports = [validate_state(rho) for rho in stack]
+        assert [r.ok for r in reports] == [True] * 4 + [False] * 2
+        r = reports[4]
+        expected = (f"at sample 4 (t = 2): hermiticity defect "
+                    f"{r.hermiticity_defect:.2e}, trace defect {r.trace_defect:.2e}, "
+                    f"min eigenvalue {r.min_eigenvalue:.2e}")
+        with pytest.raises(PropagationError) as info:
+            ecsim.dynamics._validate_samples(stack, np.arange(6) * 0.5)
+        assert str(info.value).endswith(expected)
+
+
+def test_propagate_non_finite_generator_fails_first_step():
+    p = SystemParams(V=float("nan"), gamma=0.5)
+    with pytest.raises(PropagationError, match="at sample 1 "):
+        propagate(ground_state(), p, 1.0, 5)
+
+
 def test_analytic_evolution_initial_condition(rng):
     for alpha, phi in [(0.0, 0.0), (0.3, 1.2), (0.5, np.pi), (1.0, 0.4)]:
         state = AlphaState(alpha, phi)
@@ -151,12 +219,14 @@ def test_analytic_evolution_alpha0_oscillations():
 
 
 def test_analytic_evolution_matches_propagator():
+    # exact powers of exp(L dt): agreement to roundoff, on any sample grid
     params = SystemParams(V=2.03, gamma=0.91)
-    for alpha, phi in [(0.0, 0.0), (0.25, np.pi / 2), (0.5, np.pi), (1.0, 0.0)]:
-        state = AlphaState(alpha, phi)
-        numeric = propagate(state.density(), params, 10.0, 60)
-        exact = analytic_evolution(state, params, numeric.times)
-        assert np.abs(numeric.states - exact).max() < 1e-6
+    for samples in (60, 200):
+        for alpha, phi in [(0.0, 0.0), (0.25, np.pi / 2), (0.5, np.pi), (1.0, 0.0)]:
+            state = AlphaState(alpha, phi)
+            numeric = propagate(state.density(), params, 10.0, samples)
+            exact = analytic_evolution(state, params, numeric.times)
+            assert np.abs(numeric.states - exact).max() < 1e-12
 
 
 def test_analytic_evolution_preconditions():
