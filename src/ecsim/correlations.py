@@ -3,6 +3,7 @@ mutual information, classical correlations (optimized over projective
 measurements on qubit B), quantum discord, concurrence, entanglement of
 formation, and the X-state closed forms.
 """
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,10 +103,11 @@ def conditional_entropy(rho: np.ndarray, basis: MeasurementBasis) -> float:
 # the 2x2 eigenvalues come from trace and determinant in closed form.
 # ---------------------------------------------------------------------------
 
-def _reorder(rho: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(
-        np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-        .transpose(1, 3, 0, 2).reshape(4, 4))
+def _reorder(rhos: np.ndarray) -> np.ndarray:
+    """(..., 4, 4) states as (..., 4, 4) matrices indexed by (b, b') x (a, a')."""
+    rhos = np.asarray(rhos, dtype=complex)
+    return (rhos.reshape(-1, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3)
+            .reshape(rhos.shape))
 
 
 def _branch_vectors(thetas, phis):
@@ -116,53 +118,95 @@ def _branch_vectors(thetas, phis):
     return va, vb
 
 
+def _measurement_weights(thetas, phis):
+    """|v><v| of outcomes a and b at each (theta, phi), flattened to (..., 4)."""
+    return tuple((v[..., :, None].conj() * v[..., None, :]).reshape(v.shape[:-1] + (4,))
+                 for v in _branch_vectors(thetas, phis))
+
+
+def _branch_entropy(m):
+    """p S(rho_A | outcome) in bits from unnormalized conditional operators
+    m (..., 4) of A, flattened row-major."""
+    tr = np.real(m[..., 0] + m[..., 3])
+    det = np.real(m[..., 0] * m[..., 3] - m[..., 1] * m[..., 2])
+    disc = np.sqrt(np.clip(tr * tr - 4.0 * det, 0.0, None))
+    valid = tr > _ZERO_PROB
+    tr_safe = np.where(valid, tr, 1.0)
+    branch = np.zeros_like(tr)
+    for lam in (0.5 * (tr + disc), 0.5 * (tr - disc)):
+        x = np.clip(lam / tr_safe, 0.0, 1.0)
+        branch += np.where(x > 0.0, -x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
+    return np.where(valid, tr * branch / _LN2, 0.0)
+
+
+def _cond_entropy_from_weights(reordered, weights):
+    """Conditional entropy for `weights` from `_measurement_weights`; `reordered`
+    is (4,4) or (S,4,4) broadcasting against their leading axes."""
+    return sum(_branch_entropy(w @ reordered) for w in weights)
+
+
 def _cond_entropy_values(reordered, thetas, phis):
     """Conditional entropy at each (theta, phi); `reordered` is (4,4) or (S,4,4)
     broadcasting against leading axes of `thetas`/`phis`."""
-    out = 0.0
-    for v in _branch_vectors(thetas, phis):
-        weights = (v[..., :, None].conj() * v[..., None, :])
-        weights = weights.reshape(v.shape[:-1] + (4,))
-        m = weights @ reordered
-        tr = np.real(m[..., 0] + m[..., 3])
-        det = np.real(m[..., 0] * m[..., 3] - m[..., 1] * m[..., 2])
-        disc = np.sqrt(np.clip(tr * tr - 4.0 * det, 0.0, None))
-        valid = tr > _ZERO_PROB
-        tr_safe = np.where(valid, tr, 1.0)
-        branch = np.zeros_like(tr)
-        for lam in (0.5 * (tr + disc), 0.5 * (tr - disc)):
-            x = np.clip(lam / tr_safe, 0.0, 1.0)
-            branch += np.where(x > 0.0, -x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
-        out = out + np.where(valid, tr * branch / _LN2, 0.0)
-    return out
+    return _cond_entropy_from_weights(reordered, _measurement_weights(thetas, phis))
+
+
+# Outcome b at (theta, phi) is outcome a at (pi/2 - theta, phi + pi), so grid
+# rows 32-63 repeat the measurements of rows 0-31 with the outcomes swapped:
+# the seed scans rows 0-31 only. States go in blocks of 4, which keeps the
+# temporaries near 1.5 MiB per thread. `weights @ block` makes one
+# (2048,4) @ (4,4) product per state, which BLAS runs on the calling thread;
+# a single (2048,4) @ (4,16) product per block goes to BLAS worker threads,
+# whose hand-off costs more than the product.
+_SEED_BLOCK = 4
+
+
+@functools.cache
+def _seed_grid():
+    """(thetas, phis, weights) of the seed points, built on first use."""
+    th_axis = np.linspace(0.0, np.pi / 2, GRID_SHAPE[0])[:GRID_SHAPE[0] // 2]
+    ph_axis = np.linspace(0.0, 2.0 * np.pi, GRID_SHAPE[1], endpoint=False)
+    th_grid, ph_grid = np.meshgrid(th_axis, ph_axis, indexing="ij")
+    th_flat, ph_flat = th_grid.ravel(), ph_grid.ravel()
+    weights = _measurement_weights(th_flat, ph_flat)
+    for array in (th_flat, ph_flat, *weights):
+        array.flags.writeable = False
+    return th_flat, ph_flat, weights
+
+
+def _grid_seed(reordered):
+    """Best point of the 64x64 grid for each of the (S, 4, 4) reordered states:
+    (values, thetas, phis), ties broken by first occurrence in rows 0-31."""
+    th_flat, ph_flat, weights = _seed_grid()
+    count = reordered.shape[0]
+    best = np.empty(count)
+    best_th = np.empty(count)
+    best_ph = np.empty(count)
+    for start in range(0, count, _SEED_BLOCK):
+        vals = _cond_entropy_from_weights(reordered[start:start + _SEED_BLOCK], weights)
+        k = np.argmin(vals, axis=1)
+        stop = start + k.size
+        best[start:stop] = vals[np.arange(k.size), k]
+        best_th[start:stop] = th_flat[k]
+        best_ph[start:stop] = ph_flat[k]
+    return best, best_th, best_ph
 
 
 _POLE_AZIMUTHS = np.array([0.0, np.pi, 0.5 * np.pi, -0.5 * np.pi])
 
 
-def _minimize_batch(rhos: np.ndarray, grid=GRID_SHAPE, step_tol=STEP_TOL):
+def _minimize_batch(rhos: np.ndarray):
     """Lockstep grid + compass search over (theta, phi) for a stack of states.
 
     Returns (values, thetas, phis) arrays. Deterministic: ties on the grid are
     broken by first occurrence, and the search path is input-only.
     """
     count = rhos.shape[0]
-    reordered = np.stack([_reorder(r) for r in rhos])
-    th_axis = np.linspace(0.0, np.pi / 2, grid[0])
-    ph_axis = np.linspace(0.0, 2.0 * np.pi, grid[1], endpoint=False)
-    th_grid, ph_grid = np.meshgrid(th_axis, ph_axis, indexing="ij")
-    th_flat, ph_flat = th_grid.ravel(), ph_grid.ravel()
+    reordered = _reorder(rhos)
+    best, best_th, best_ph = _grid_seed(reordered)
 
-    best = np.empty(count)
-    best_th = np.empty(count)
-    best_ph = np.empty(count)
-    for s in range(count):
-        vals = _cond_entropy_values(reordered[s], th_flat, ph_flat)
-        k = int(np.argmin(vals))
-        best[s], best_th[s], best_ph[s] = vals[k], th_flat[k], ph_flat[k]
-
-    step = np.full(count, float(th_axis[1] - th_axis[0]))
-    active = step > step_tol
+    step = np.full(count, np.pi / 2 / (GRID_SHAPE[0] - 1))
+    active = step > STEP_TOL
     while active.any():
         idx = np.nonzero(active)[0]
         st = step[idx]
@@ -186,18 +230,17 @@ def _minimize_batch(rhos: np.ndarray, grid=GRID_SHAPE, step_tol=STEP_TOL):
         best_th[moved] = cand_th[improved, j[improved]]
         best_ph[moved] = cand_ph[improved, j[improved]]
         step[idx[~improved]] *= 0.5
-        active = step > step_tol
+        active = step > STEP_TOL
     return best, best_th, best_ph
 
 
-def minimize_conditional_entropy(rho: np.ndarray, grid=GRID_SHAPE):
+def minimize_conditional_entropy(rho: np.ndarray):
     """Global minimum of the measured conditional entropy over bases on B.
 
     Coarse grid scan followed by a compass search with shrinking step
     (terminates at angle step 1e-8). Returns (value, argmin MeasurementBasis).
     """
-    vals, ths, phs = _minimize_batch(np.asarray(rho, dtype=complex)[None, :, :],
-                                     grid=grid)
+    vals, ths, phs = _minimize_batch(np.asarray(rho, dtype=complex)[None, :, :])
     return float(vals[0]), MeasurementBasis(float(ths[0]), float(phs[0]))
 
 

@@ -23,6 +23,8 @@ Recognized keys:
   scan.axis          alpha | distance | laser_amplitude
   scan.start scan.stop scan.steps
 """
+import cmath
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -70,9 +72,12 @@ def _as_float(entries, key, default=None):
             raise ScenarioError(f"missing required key {key!r}")
         return default
     try:
-        return float(entries.pop(key))
+        value = float(entries.pop(key))
     except ValueError as exc:
         raise ScenarioError(f"key {key!r}: not a number") from exc
+    if not math.isfinite(value):
+        raise ScenarioError(f"key {key!r}: not finite, got {value}")
+    return value
 
 
 def _as_int(entries, key):
@@ -95,6 +100,8 @@ def _as_vector(entries, key):
         raise ScenarioError(f"key {key!r}: expected three floats") from exc
     if len(vec) != 3:
         raise ScenarioError(f"key {key!r}: expected three floats, got {len(vec)}")
+    if not all(math.isfinite(x) for x in vec):
+        raise ScenarioError(f"key {key!r}: not finite, got {raw!r}")
     return np.array(vec)
 
 
@@ -183,6 +190,8 @@ def _parse_initial(entries: dict):
                 raise ScenarioError(f"initial.row{i}: bad complex number") from exc
             if len(row) != 4:
                 raise ScenarioError(f"initial.row{i}: expected 4 entries")
+            if not all(cmath.isfinite(z) for z in row):
+                raise ScenarioError(f"initial.row{i}: not finite, got {raw!r}")
             rows.append(tuple(row))
         return kind, tuple(rows)
     return kind, ()

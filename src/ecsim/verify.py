@@ -13,7 +13,8 @@ from .correlations import (classical_correlations, conditional_entropy,
                            correlation_record, entropy_bound_check,
                            minimize_conditional_entropy, mutual_information,
                            quantum_discord, _batch_concurrence, _batch_entropies,
-                           _cond_entropy_values, _minimize_batch, _reorder,
+                           _cond_entropy_from_weights, _measurement_weights,
+                           _minimize_batch, _reorder,
                            eof_from_concurrence, xstate_conditional_entropy_branches)
 from .couplings import EmitterGeometry, collective_decay, coupling_strength
 from .dynamics import (AlphaState, SystemParams, build_bell_diagonal, propagate,
@@ -349,6 +350,7 @@ def check_optimizer_soundness() -> CheckResult:
     ph_axis = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
     th_grid, ph_grid = np.meshgrid(th_axis, ph_axis, indexing="ij")
     th_flat, ph_flat = th_grid.ravel(), ph_grid.ravel()
+    weights = _measurement_weights(th_flat, ph_flat)
 
     worst_cc = 0.0
     worst_add = 0.0
@@ -359,7 +361,7 @@ def check_optimizer_soundness() -> CheckResult:
 
         cc_opt, _ = classical_correlations(rho)
         s_a = states.von_neumann_entropy(states.partial_trace(rho, "A"))
-        vals = _cond_entropy_values(_reorder(rho), th_flat, ph_flat)
+        vals = _cond_entropy_from_weights(_reorder(rho), weights)
         k = int(np.argmin(vals))
         polish = minimize(
             lambda x: conditional_entropy(

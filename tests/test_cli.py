@@ -97,6 +97,28 @@ def test_evolve_rejects_scan_scenarios(tmp_path):
     assert main(["scan", str(scenario), "-o", str(tmp_path / "s.csv")]) == 0
 
 
+GEOMETRY_SCENARIO = ("initial.kind = doubly_excited\n"
+                     "time.t_final = 8.0\ntime.samples = 40\n" + GEOMETRY_FILE)
+MATRIX_SCENARIO = ("initial.kind = matrix\n"
+                   "initial.row0 = 1 0 0 0\ninitial.row1 = 0 0 0 0\n"
+                   "initial.row2 = 0 0 0 0\ninitial.row3 = 0 0 0 0\n"
+                   "params.V = 1.2\nparams.gamma = 0.88\n"
+                   "time.t_final = 8.0\ntime.samples = 40\n")
+
+
+@pytest.mark.parametrize("text", [
+    FIG1_SCENARIO.replace("params.V = 1.2790995139421846", "params.V = nan"),
+    FIG1_SCENARIO.replace("time.t_final = 8.0", "time.t_final = inf"),
+    GEOMETRY_SCENARIO.replace("r12_over_lambda0 = 0.108", "r12_over_lambda0 = inf"),
+    MATRIX_SCENARIO.replace("initial.row3 = 0 0 0 0", "initial.row3 = 0 0 0 nan"),
+], ids=["V=nan", "t_final=inf", "r12=inf", "matrix-nan"])
+def test_evolve_rejects_non_finite_input(tmp_path, capsys, text):
+    scenario = tmp_path / "bad.cfg"
+    scenario.write_text(text)
+    assert main(["evolve", str(scenario)]) == 1
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_scan_requires_scan_section(tmp_path):
     scenario = tmp_path / "noscan.cfg"
     scenario.write_text(FIG1_SCENARIO)

@@ -1,4 +1,6 @@
 """Correlation quantifiers: MI, CC, QD, concurrence, EoF, X-state closed forms."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from ecsim import (AlphaState, MeasurementBasis, NumericsError, SystemParams,
                    partial_trace, post_measurement_state, propagate,
                    quantum_discord, von_neumann_entropy, xstate_concurrence,
                    xstate_conditional_entropy_branches)
+from ecsim.correlations import (GRID_SHAPE, _cond_entropy_values, _grid_seed,
+                                _minimize_batch, _reorder)
 from helpers import (oracle_min_conditional_entropy, random_density_matrix,
                      random_pure_ket)
 
@@ -200,6 +204,58 @@ def test_optimizer_leaves_chart_pole(params, alpha, phi, t_final, samples, k):
                     t_final, samples).states[k]
     value, _ = minimize_conditional_entropy(rho)
     assert value == pytest.approx(oracle_min_conditional_entropy(rho), abs=1e-6)
+
+
+def test_cond_entropy_mirror_symmetry(rng):
+    # outcome b at (theta, phi) is outcome a at (pi/2 - theta, phi + pi)
+    thetas = rng.uniform(0.0, np.pi / 2, 200)
+    phis = rng.uniform(0.0, 2.0 * np.pi, 200)
+    for _ in range(10):
+        reordered = _reorder(random_density_matrix(rng))
+        direct = _cond_entropy_values(reordered, thetas, phis)
+        mirrored = _cond_entropy_values(reordered, np.pi / 2 - thetas, phis + np.pi)
+        assert np.abs(direct - mirrored).max() <= 1e-14
+
+
+def test_half_grid_seed_matches_full_grid(rng):
+    rhos = [random_density_matrix(rng) for _ in range(50)]
+    rhos += [propagate(AlphaState(alpha, phi).density(), SystemParams(**params),
+                       t_final, samples).states[k]
+             for params, alpha, phi, t_final, samples, k in POLE_CASES]
+    rhos += [build_bell_diagonal(*h)
+             for h in ((0.8, 0.8, -0.6), (0.0, 0.0, 0.6), (-1.0, -1.0, -1.0))]
+    reordered = _reorder(np.stack(rhos))
+    th_axis = np.linspace(0.0, np.pi / 2, GRID_SHAPE[0])
+    ph_axis = np.linspace(0.0, 2.0 * np.pi, GRID_SHAPE[1], endpoint=False)
+    th_grid, ph_grid = np.meshgrid(th_axis, ph_axis, indexing="ij")
+    full = _cond_entropy_values(reordered, th_grid.ravel(), ph_grid.ravel())
+    seed, seed_th, seed_ph = _grid_seed(reordered)
+    assert np.abs(seed - full.min(axis=1)).max() <= 1e-13
+    assert (seed_th < np.pi / 4).all()
+    at_seed = _cond_entropy_values(reordered, seed_th[:, None], seed_ph[:, None])
+    assert np.abs(at_seed[:, 0] - seed).max() <= 1e-14
+
+
+def test_search_value_independent_of_batch_position(rng):
+    batch = np.stack([random_density_matrix(rng) for _ in range(9)])
+    for rho in batch[:5]:
+        alone, _, _ = _minimize_batch(rho[None])
+        batch[5] = rho
+        among, _, _ = _minimize_batch(batch)
+        assert abs(alone[0] - among[5]) <= 1e-14
+
+
+def test_search_memory_peak_is_bounded(rng):
+    # guards the seed block size: larger blocks need several MiB per thread
+    rhos = np.stack([random_density_matrix(rng) for _ in range(400)])
+    _minimize_batch(rhos[:1])
+    tracemalloc.start()
+    try:
+        _minimize_batch(rhos)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 def test_minimize_returns_achieving_basis(rng):
