@@ -49,12 +49,13 @@ class MeasurementBasis:
         return np.outer(ket_a, ket_a.conj()), np.outer(ket_b, ket_b.conj())
 
 
-def mutual_information(rho: np.ndarray) -> float:
-    """I = S(rho_A) + S(rho_B) - S(rho_AB), total correlations in bits."""
+def mutual_information(rho: np.ndarray):
+    """I = S(rho_A) + S(rho_B) - S(rho_AB), total correlations in bits: a float
+    for one state, an array for a (..., 4, 4) stack."""
     value = (states.von_neumann_entropy(states.partial_trace(rho, "A"))
              + states.von_neumann_entropy(states.partial_trace(rho, "B"))
              - states.von_neumann_entropy(rho))
-    return max(value, 0.0)
+    return states._float_or_array(np.maximum(value, 0.0))
 
 
 def post_measurement_state(rho: np.ndarray, basis: MeasurementBasis, outcome: str):
@@ -244,30 +245,14 @@ def minimize_conditional_entropy(rho: np.ndarray):
     return float(vals[0]), MeasurementBasis(float(ths[0]), float(phs[0]))
 
 
-def classical_correlations(rho: np.ndarray):
-    """Maximum extractable classical information and the achieving basis.
-
-    CC = max over projective bases of S(rho_A) - S(rho_A | measurement on B).
-    """
-    min_cond, basis = minimize_conditional_entropy(rho)
-    s_a = states.von_neumann_entropy(states.partial_trace(rho, "A"))
-    return max(s_a - min_cond, 0.0), basis
-
-
-def quantum_discord(rho: np.ndarray) -> float:
-    """D = S(rho_B) - S(rho_AB) + min over bases of the conditional entropy."""
-    min_cond, _ = minimize_conditional_entropy(rho)
-    return (states.von_neumann_entropy(states.partial_trace(rho, "B"))
-            - states.von_neumann_entropy(rho) + min_cond)
-
-
 # eigenvalues of rho rho~ below this are exact zeros of a rank-deficient
 # product (or solver noise); taking their square roots would bias C by ~1e-8
 _SPECTRUM_FLOOR = 1e-12
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Two-qubit concurrence from the spin-flipped state.
+def concurrence(rho: np.ndarray):
+    """Two-qubit concurrence from the spin-flipped state: a float for one
+    state, an array for a (..., 4, 4) stack.
 
     C = max(0, l1 - l2 - l3 - l4) with l_i the descending square roots of the
     eigenvalues of rho (sy x sy) conj(rho) (sy x sy).
@@ -280,19 +265,23 @@ def concurrence(rho: np.ndarray) -> float:
         raise NumericsError(
             f"spin-flip spectrum has imaginary part {worst_imag:.2e}")
     cleaned = np.where(ev.real > _SPECTRUM_FLOOR, ev.real, 0.0)
-    lam = np.sqrt(np.sort(cleaned)[::-1])
-    return float(min(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0), 1.0))
+    lam = np.sqrt(np.sort(cleaned, axis=-1)[..., ::-1])
+    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    return states._float_or_array(np.clip(c, 0.0, 1.0))
 
 
-def eof_from_concurrence(c: float) -> float:
-    """EoF as the monotone function of concurrence, h((1 + sqrt(1 - C^2))/2)."""
-    if not -1e-12 <= c <= 1.0 + 1e-12:
-        raise ValueError(f"concurrence must be in [0, 1], got {c}")
-    c = min(max(c, 0.0), 1.0)
+def eof_from_concurrence(c):
+    """EoF as the monotone function of concurrence, h((1 + sqrt(1 - C^2))/2),
+    elementwise; a float for a float."""
+    c = np.asarray(c, dtype=float)
+    bad = ~((c >= -1e-12) & (c <= 1.0 + 1e-12))
+    if bad.any():
+        raise ValueError(f"concurrence must be in [0, 1], got {c[bad].flat[0]}")
+    c = np.clip(c, 0.0, 1.0)
     return states.binary_entropy(0.5 * (1.0 + np.sqrt(1.0 - c * c)))
 
 
-def entanglement_of_formation(rho: np.ndarray) -> float:
+def entanglement_of_formation(rho: np.ndarray):
     return eof_from_concurrence(concurrence(rho))
 
 
@@ -341,18 +330,6 @@ def xstate_concurrence(rho: np.ndarray) -> float:
     return float(min(2.0 * abs(rho[1, 2]), 1.0))
 
 
-def entropy_bound_check(rho: np.ndarray) -> float:
-    """Signed entropy bound S(rho_B) + 2 min S(A|B) - S(rho_A) - S(rho_AB).
-
-    Non-negative exactly when quantum discord dominates classical correlations.
-    """
-    min_cond, _ = minimize_conditional_entropy(rho)
-    return (states.von_neumann_entropy(states.partial_trace(rho, "B"))
-            + 2.0 * min_cond
-            - states.von_neumann_entropy(states.partial_trace(rho, "A"))
-            - states.von_neumann_entropy(rho))
-
-
 @dataclass(frozen=True)
 class CorrelationRecord:
     """All correlation measures of one state at one time sample."""
@@ -366,72 +343,53 @@ class CorrelationRecord:
     basis: MeasurementBasis
 
 
-def correlation_record(rho: np.ndarray, t: float = 0.0) -> CorrelationRecord:
-    """Bundle MI, CC, QD, concurrence, and EoF; CC and QD share one argmax basis
-    so that MI = QD + CC holds as an identity up to float roundoff."""
-    min_cond, basis = minimize_conditional_entropy(rho)
-    s_a = states.von_neumann_entropy(states.partial_trace(rho, "A"))
-    s_b = states.von_neumann_entropy(states.partial_trace(rho, "B"))
-    s_ab = states.von_neumann_entropy(rho)
-    c = concurrence(rho)
-    return CorrelationRecord(
-        t=float(t),
-        mi=max(s_a + s_b - s_ab, 0.0),
-        cc=max(s_a - min_cond, 0.0),
-        qd=s_b - s_ab + min_cond,
-        concurrence=c,
-        eof=eof_from_concurrence(c),
-        basis=basis,
-    )
-
-
-def _batch_entropies(rhos: np.ndarray) -> np.ndarray:
-    ev = np.linalg.eigvalsh(rhos)
-    if float(ev.min()) < -states.NEGATIVITY_TOL:
-        raise NumericsError(f"negative eigenvalue {ev.min():.3e} in batch entropies")
-    ev = np.clip(ev, 0.0, None)
-    log_ev = np.log(np.where(ev > 0.0, ev, 1.0))
-    return -(ev * log_ev).sum(axis=-1) / _LN2
-
-
-def _batch_concurrence(rhos: np.ndarray) -> np.ndarray:
-    tilde = _SYY @ rhos.conj() @ _SYY
-    ev = np.linalg.eigvals(rhos @ tilde)
-    worst_imag = float(np.abs(ev.imag).max())
-    if worst_imag > 1e-6:
-        raise NumericsError(f"spin-flip spectrum has imaginary part {worst_imag:.2e}")
-    cleaned = np.where(ev.real > _SPECTRUM_FLOOR, ev.real, 0.0)
-    lam = np.sqrt(np.sort(cleaned, axis=-1)[..., ::-1])
-    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
-    return np.clip(c, 0.0, 1.0)
-
-
 def correlation_records(times, rhos) -> list:
     """CorrelationRecord for every sample of a trajectory, with the measurement
-    search batched across samples (much faster than per-state calls)."""
+    search batched across samples. The one place where MI, CC, QD and EoF are
+    assembled: CC and QD share one argmax basis, so MI = QD + CC holds as an
+    identity up to float roundoff."""
     rhos = np.asarray(rhos, dtype=complex)
     times = np.asarray(times, dtype=float)
     if rhos.ndim != 3 or rhos.shape[0] != times.size:
         raise ValueError("need matching times (n,) and states (n, 4, 4)")
 
-    tensors = rhos.reshape(-1, 2, 2, 2, 2)
-    red_a = np.trace(tensors, axis1=2, axis2=4)
-    red_b = np.trace(tensors, axis1=1, axis2=3)
-    s_a = _batch_entropies(red_a)
-    s_b = _batch_entropies(red_b)
-    s_ab = _batch_entropies(rhos)
+    mi = mutual_information(rhos)
+    s_a = states.von_neumann_entropy(states.partial_trace(rhos, "A"))
+    s_b = states.von_neumann_entropy(states.partial_trace(rhos, "B"))
+    s_ab = states.von_neumann_entropy(rhos)
     min_cond, ths, phs = _minimize_batch(rhos)
-    cs = _batch_concurrence(rhos)
+    cc = np.maximum(s_a - min_cond, 0.0)
+    qd = s_b - s_ab + min_cond
+    cs = concurrence(rhos)
+    eof = eof_from_concurrence(cs)
+    return [CorrelationRecord(t=float(times[k]), mi=float(mi[k]), cc=float(cc[k]),
+                              qd=float(qd[k]), concurrence=float(cs[k]),
+                              eof=float(eof[k]),
+                              basis=MeasurementBasis(float(ths[k]), float(phs[k])))
+            for k in range(times.size)]
 
-    records = []
-    for k in range(times.size):
-        records.append(CorrelationRecord(
-            t=float(times[k]),
-            mi=max(float(s_a[k] + s_b[k] - s_ab[k]), 0.0),
-            cc=max(float(s_a[k] - min_cond[k]), 0.0),
-            qd=float(s_b[k] - s_ab[k] + min_cond[k]),
-            concurrence=float(cs[k]),
-            eof=eof_from_concurrence(float(cs[k])),
-            basis=MeasurementBasis(float(ths[k]), float(phs[k])),
-        ))
-    return records
+
+def correlation_record(rho: np.ndarray, t: float = 0.0) -> CorrelationRecord:
+    """The record of one state at time t: a view of correlation_records."""
+    return correlation_records([t], np.asarray(rho, dtype=complex)[None])[0]
+
+
+def classical_correlations(rho: np.ndarray):
+    """Maximum extractable classical information and the achieving basis.
+
+    CC = max over projective bases of S(rho_A) - S(rho_A | measurement on B).
+    """
+    record = correlation_record(rho)
+    return record.cc, record.basis
+
+
+def quantum_discord(rho: np.ndarray) -> float:
+    """D = S(rho_B) - S(rho_AB) + min over bases of the conditional entropy."""
+    return correlation_record(rho).qd
+
+
+def entropy_bound_check(rho: np.ndarray) -> float:
+    """Signed entropy bound S(rho_B) + 2 min S(A|B) - S(rho_A) - S(rho_AB), that
+    is QD - CC: non-negative exactly when discord dominates."""
+    record = correlation_record(rho)
+    return record.qd - record.cc

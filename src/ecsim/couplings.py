@@ -25,6 +25,8 @@ def _unit(vec, name: str) -> np.ndarray:
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,):
         raise GeometryError(f"{name} must be a 3-vector, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise GeometryError(f"{name} must be finite, got {v}")
     if abs(np.linalg.norm(v) - 1.0) > 1e-12:
         raise GeometryError(f"{name} must be unit norm, |{name}| = {np.linalg.norm(v)!r}")
     return v
@@ -46,6 +48,9 @@ class EmitterGeometry:
         object.__setattr__(self, "mu1_hat", _unit(self.mu1_hat, "mu1_hat"))
         object.__setattr__(self, "mu2_hat", _unit(self.mu2_hat, "mu2_hat"))
         object.__setattr__(self, "r12_hat", _unit(self.r12_hat, "r12_hat"))
+        for name in ("r12_over_lambda0", "n", "Gamma1", "Gamma2"):
+            if not np.isfinite(getattr(self, name)):
+                raise GeometryError(f"{name} must be finite, got {getattr(self, name)}")
         if self.r12_over_lambda0 <= 0.0:
             raise GeometryError(f"r12/lambda0 must be > 0, got {self.r12_over_lambda0}")
         if self.n < 1.0:

@@ -46,6 +46,9 @@ class SystemParams:
     ell2: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.Gamma1 <= 0.0 or self.Gamma2 <= 0.0:
             raise ValueError("Gamma1 and Gamma2 must be > 0")
         bound = np.sqrt(self.Gamma1 * self.Gamma2)

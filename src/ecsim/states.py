@@ -116,19 +116,26 @@ def assert_physical(rho: np.ndarray, context: str = "state") -> None:
             f"min eigenvalue {report.min_eigenvalue:.2e}")
 
 
+def _float_or_array(value):
+    """A 0-d result as a Python float, anything larger unchanged."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
-    """Reduced 2x2 state of subsystem `keep` ('A' or 'B')."""
+    """Reduced 2x2 state(s) of subsystem `keep` ('A' or 'B') of a (..., 4, 4) stack."""
     rho = np.asarray(rho, dtype=complex)
-    tensor = rho.reshape(2, 2, 2, 2)  # indices (a, b, a', b')
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"need (..., 4, 4) two-qubit states, got shape {rho.shape}")
+    tensor = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))  # indices (..., a, b, a', b')
     if keep == "A":
-        return np.trace(tensor, axis1=1, axis2=3)
+        return np.trace(tensor, axis1=-3, axis2=-1)
     if keep == "B":
-        return np.trace(tensor, axis1=0, axis2=2)
+        return np.trace(tensor, axis1=-4, axis2=-2)
     raise ValueError(f"subsystem label must be 'A' or 'B', got {keep!r}")
 
 
 def clamped_spectrum(rho: np.ndarray, neg_tol: float = NEGATIVITY_TOL) -> np.ndarray:
-    """Eigenvalues with roundoff negatives clamped to 0.
+    """Eigenvalues of a (..., n, n) stack with roundoff negatives clamped to 0.
 
     Eigenvalues in [-neg_tol, 0) become 0; anything below -neg_tol raises
     NonPhysicalStateError (that is a numerical failure, not roundoff).
@@ -140,20 +147,24 @@ def clamped_spectrum(rho: np.ndarray, neg_tol: float = NEGATIVITY_TOL) -> np.nda
     return np.clip(ev, 0.0, None)
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """S(rho) = -tr(rho log2 rho) in bits, with 0*log(0) := 0."""
+def von_neumann_entropy(rho: np.ndarray):
+    """S(rho) = -tr(rho log2 rho) in bits, with 0*log(0) := 0.
+
+    A float for one (n, n) state, an array for a (..., n, n) stack.
+    """
     ev = clamped_spectrum(rho)
-    ev = ev[ev > 0.0]
-    return float(-(ev * np.log(ev)).sum() / _LN2)
+    log_ev = np.log(np.where(ev > 0.0, ev, 1.0))
+    return _float_or_array(-(ev * log_ev).sum(axis=-1) / _LN2)
 
 
-def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1-x) log2 (1-x)."""
-    if not -1e-12 <= x <= 1.0 + 1e-12:
-        raise ValueError(f"binary_entropy argument outside [0, 1]: {x}")
-    x = min(max(x, 0.0), 1.0)
-    total = 0.0
+def binary_entropy(x):
+    """h(x) = -x log2 x - (1-x) log2 (1-x), elementwise; a float for a float."""
+    x = np.asarray(x, dtype=float)
+    bad = ~((x >= -1e-12) & (x <= 1.0 + 1e-12))
+    if bad.any():
+        raise ValueError(f"binary_entropy argument outside [0, 1]: {x[bad].flat[0]}")
+    x = np.clip(x, 0.0, 1.0)
+    total = np.zeros_like(x)
     for p in (x, 1.0 - x):
-        if p > 0.0:
-            total -= p * np.log(p)
-    return float(total / _LN2)
+        total -= np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    return _float_or_array(total / _LN2)

@@ -9,13 +9,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import states
-from .correlations import (classical_correlations, conditional_entropy,
-                           correlation_record, entropy_bound_check,
-                           minimize_conditional_entropy, mutual_information,
-                           quantum_discord, _batch_concurrence, _batch_entropies,
-                           _cond_entropy_from_weights, _measurement_weights,
-                           _minimize_batch, _reorder,
-                           eof_from_concurrence, xstate_conditional_entropy_branches)
+from .correlations import (MeasurementBasis, concurrence, conditional_entropy,
+                           correlation_record, correlation_records,
+                           eof_from_concurrence, mutual_information,
+                           xstate_conditional_entropy_branches,
+                           _cond_entropy_from_weights, _measurement_weights, _reorder)
 from .couplings import EmitterGeometry, collective_decay, coupling_strength
 from .dynamics import (AlphaState, SystemParams, build_bell_diagonal, propagate,
                        stationary_state)
@@ -60,9 +58,10 @@ class CheckResult:
     def report(self, label, got):
         self.lines.append(CheckLine(label, "-", str(got), "-", None))
 
-
-def _line(result, label, expected, got, tol, ok):
-    result.add(label, expected, got, tol, ok)
+    def __str__(self):
+        verdict = "PASS" if self.passed else "FAIL"
+        head = f"{self.name} ... {verdict} ({self.seconds:.2f} s)"
+        return "\n".join([head] + [f"    {line}" for line in self.lines])
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +126,11 @@ def check_bell_diagonal_counterexamples() -> CheckResult:
         ("Bell singlet h=(-1,-1,-1)", (-1.0, -1.0, -1.0), 2.0, 1.0, 1.0),
     )
     for label, hs, mi_exp, qd_exp, cc_exp in cases:
-        rho = build_bell_diagonal(*hs)
-        mi = mutual_information(rho)
-        cc, _ = classical_correlations(rho)
-        qd = quantum_discord(rho)
-        _line(res, f"I({label})", mi_exp, f"{mi:.6f}", tol, abs(mi - mi_exp) <= tol)
-        _line(res, f"D({label})", qd_exp, f"{qd:.6f}", tol, abs(qd - qd_exp) <= tol)
-        _line(res, f"CC({label})", cc_exp, f"{cc:.6f}", tol, abs(cc - cc_exp) <= tol)
+        rec = correlation_record(build_bell_diagonal(*hs))
+        mi, qd, cc = rec.mi, rec.qd, rec.cc
+        res.add(f"I({label})", mi_exp, f"{mi:.6f}", tol, abs(mi - mi_exp) <= tol)
+        res.add(f"D({label})", qd_exp, f"{qd:.6f}", tol, abs(qd - qd_exp) <= tol)
+        res.add(f"CC({label})", cc_exp, f"{cc:.6f}", tol, abs(cc - cc_exp) <= tol)
     return res
 
 
@@ -142,14 +139,14 @@ def check_coupling_formulas() -> CheckResult:
     res = CheckResult("coupling_formulas")
     geo = EmitterGeometry(r12_over_lambda0=0.108, **_PERP_GEOMETRY)
     v, g = coupling_strength(geo), collective_decay(geo)
-    _line(res, "V(0.108 lambda0)", 2.03, f"{v:.6f}", "2%", abs(v - 2.03) <= 0.02 * 2.03)
-    _line(res, "gamma(0.108 lambda0)", 0.91, f"{g:.6f}", "2%", abs(g - 0.91) <= 0.02 * 0.91)
+    res.add("V(0.108 lambda0)", 2.03, f"{v:.6f}", "2%", abs(v - 2.03) <= 0.02 * 2.03)
+    res.add("gamma(0.108 lambda0)", 0.91, f"{g:.6f}", "2%", abs(g - 0.91) <= 0.02 * 0.91)
     geo = EmitterGeometry(r12_over_lambda0=0.125, **_PERP_GEOMETRY)
     v, g = coupling_strength(geo), collective_decay(geo)
-    _line(res, "Gamma/V(lambda0/8)", 0.7818, f"{1.0 / v:.6f}", "2%",
-          abs(1.0 / v - 0.7818) <= 0.02 * 0.7818)
-    _line(res, "gamma/V(lambda0/8)", 0.6884, f"{g / v:.6f}", "2%",
-          abs(g / v - 0.6884) <= 0.02 * 0.6884)
+    res.add("Gamma/V(lambda0/8)", 0.7818, f"{1.0 / v:.6f}", "2%",
+            abs(1.0 / v - 0.7818) <= 0.02 * 0.7818)
+    res.add("gamma/V(lambda0/8)", 0.6884, f"{g / v:.6f}", "2%",
+            abs(g / v - 0.6884) <= 0.02 * 0.6884)
     return res
 
 
@@ -164,8 +161,8 @@ def check_analytic_numeric_equivalence() -> CheckResult:
         dev = float(np.abs(traj.states - exact).max())
         if dev > worst:
             worst, worst_label = dev, label
-    _line(res, f"max |numeric - analytic| (worst: {worst_label})",
-          "<= 1e-06", f"{worst:.3e}", 1e-6, worst <= 1e-6)
+    res.add(f"max |numeric - analytic| (worst: {worst_label})",
+            "<= 1e-06", f"{worst:.3e}", 1e-6, worst <= 1e-6)
     return res
 
 
@@ -205,16 +202,12 @@ def check_correlation_hierarchy() -> CheckResult:
     suitable = np.array([np.isclose(state.alpha, 0.5)
                          and np.isclose(state.phi, (0.0, np.pi)).any()
                          for _, _, state, _ in cases])[owner]
-    tensors = all_states.reshape(-1, 2, 2, 2, 2)
-    s_a = _batch_entropies(np.trace(tensors, axis1=2, axis2=4))
-    s_b = _batch_entropies(np.trace(tensors, axis1=1, axis2=3))
-    s_ab = _batch_entropies(all_states)
-    min_cond, _, _ = _minimize_batch(all_states)
-    cc = np.maximum(s_a - min_cond, 0.0)
-    qd = s_b - s_ab + min_cond
-    eof = np.array([eof_from_concurrence(float(c))
-                    for c in _batch_concurrence(all_states)])
-    bound = s_b + 2.0 * min_cond - s_a - s_ab
+    cc, qd, eof = np.array([(rec.cc, rec.qd, rec.eof)
+                            for rec in correlation_records(times, all_states)]).T
+    s_a = states.von_neumann_entropy(states.partial_trace(all_states, "A"))
+    s_b = states.von_neumann_entropy(states.partial_trace(all_states, "B"))
+    s_ab = states.von_neumann_entropy(all_states)
+    bound = qd - cc
     closed = np.array([min(xstate_conditional_entropy_branches(rho))
                        for rho in all_states])
     closed_bound = s_b + 2.0 * closed - s_a - s_ab
@@ -225,30 +218,30 @@ def check_correlation_hierarchy() -> CheckResult:
 
     n_suitable = int(suitable.sum())
     worst_qd = float((cc - qd)[suitable].max())
-    _line(res, f"max(CC - QD) on Bell preparations ({n_suitable} samples)",
-          "<= 1e-06", f"{worst_qd:.3e}", 1e-6, worst_qd <= 1e-6)
+    res.add(f"max(CC - QD) on Bell preparations ({n_suitable} samples)",
+            "<= 1e-06", f"{worst_qd:.3e}", 1e-6, worst_qd <= 1e-6)
     worst_bound = float(bound[suitable].min())
-    _line(res, "min entropy bound on Bell preparations", ">= -1e-07",
-          f"{worst_bound:.3e}", 1e-7, worst_bound >= -1e-7)
+    res.add("min entropy bound on Bell preparations", ">= -1e-07",
+            f"{worst_bound:.3e}", 1e-7, worst_bound >= -1e-7)
     sel = suitable & visible
     worst_eof = float((cc[sel] - eof[sel]).max()) if sel.any() else -np.inf
-    _line(res, f"max(CC - EoF) on Bell preparations where EoF > 0.01 "
-          f"({int(sel.sum())} samples)", "<= 1e-06", f"{worst_eof:.3e}", 1e-6,
-          worst_eof <= 1e-6)
+    res.add(f"max(CC - EoF) on Bell preparations where EoF > 0.01 "
+            f"({int(sel.sum())} samples)", "<= 1e-06", f"{worst_eof:.3e}", 1e-6,
+            worst_eof <= 1e-6)
 
     gap = np.abs(bound - closed_bound)
     k = int(np.argmax(gap))
     worst_gap = float(gap[k])
-    _line(res, f"max |entropy bound - closed two-branch bound| over "
-          f"{len(all_states)} samples (worst: {where(k)})", "<= 1e-06",
-          f"{worst_gap:.3e}", 1e-6, worst_gap <= 1e-6)
+    res.add(f"max |entropy bound - closed two-branch bound| over "
+            f"{len(all_states)} samples (worst: {where(k)})", "<= 1e-06",
+            f"{worst_gap:.3e}", 1e-6, worst_gap <= 1e-6)
     worst_eof = float((cc[visible] - eof[visible]).max()) if visible.any() else -np.inf
-    _line(res, f"max(CC - EoF) where EoF > 0.01 ({int(visible.sum())} samples)",
-          "<= 1e-06", f"{worst_eof:.3e}", 1e-6, worst_eof <= 1e-6)
+    res.add(f"max(CC - EoF) where EoF > 0.01 ({int(visible.sum())} samples)",
+            "<= 1e-06", f"{worst_eof:.3e}", 1e-6, worst_eof <= 1e-6)
     k = int(np.argmax(qd - cc))
     margin = float(qd[k] - cc[k])
-    _line(res, f"max(QD - CC), disproving CC >= QD (at {where(k)})", "> 1e-03",
-          f"{margin:.3e}", 1e-3, margin > 1e-3)
+    res.add(f"max(QD - CC), disproving CC >= QD (at {where(k)})", "> 1e-03",
+            f"{margin:.3e}", 1e-3, margin > 1e-3)
 
     off = np.where(suitable, -np.inf, cc - qd)
     k = int(np.argmax(off))
@@ -270,8 +263,8 @@ def check_decay_rate_laws() -> CheckResult:
         slope = np.polyfit(traj.times, np.log(excited), 1)[0]
         rate = -float(slope)
         rel = abs(rate - rate_exp) / rate_exp
-        _line(res, f"{label} Bell decay rate", f"{rate_exp:.4f}",
-              f"{rate:.6f} (rel err {rel:.2e})", "1%", rel < 0.01)
+        res.add(f"{label} Bell decay rate", f"{rate_exp:.4f}",
+                f"{rate:.6f} (rel err {rel:.2e})", "1%", rel < 0.01)
     return res
 
 
@@ -279,19 +272,19 @@ def check_entanglement_sudden_birth() -> CheckResult:
     """Criterion 6: concurrence stays 0 early, then turns on at tau in [4/V, 6/V]."""
     res = CheckResult("entanglement_sudden_birth")
     params, traj = _sudden_birth_trajectory()
-    cs = _batch_concurrence(traj.states)
+    cs = concurrence(traj.states)
     alive = cs > 1e-9
-    _line(res, "entanglement eventually appears", "True", str(bool(alive.any())),
-          "-", bool(alive.any()))
+    res.add("entanglement eventually appears", "True", str(bool(alive.any())),
+            "-", bool(alive.any()))
     if alive.any():
         idx = int(np.argmax(alive))
         tau = float(traj.times[idx])
         early_max = float(cs[:idx].max()) if idx > 0 else 0.0
         lo, hi = 4.0 / params.V, 6.0 / params.V
-        _line(res, "max C before birth", "<= 1e-09", f"{early_max:.2e}", 1e-9,
-              early_max <= 1e-9)
-        _line(res, "birth time tau", f"[{lo:.4f}, {hi:.4f}]", f"{tau:.4f}", "band",
-              lo <= tau <= hi)
+        res.add("max C before birth", "<= 1e-09", f"{early_max:.2e}", 1e-9,
+                early_max <= 1e-9)
+        res.add("birth time tau", f"[{lo:.4f}, {hi:.4f}]", f"{tau:.4f}", "band",
+                lo <= tau <= hi)
     return res
 
 
@@ -300,17 +293,14 @@ def check_concurrence_exceeds_mutual_information() -> CheckResult:
     exceeds MI."""
     res = CheckResult("concurrence_exceeds_mutual_information")
     _, traj = _driven_fig2_trajectory()
-    tensors = traj.states.reshape(-1, 2, 2, 2, 2)
-    mi = (_batch_entropies(np.trace(tensors, axis1=2, axis2=4))
-          + _batch_entropies(np.trace(tensors, axis1=1, axis2=3))
-          - _batch_entropies(traj.states))
-    cs = _batch_concurrence(traj.states)
-    eof = np.array([eof_from_concurrence(float(c)) for c in cs])
+    mi = mutual_information(traj.states)
+    cs = concurrence(traj.states)
+    eof = eof_from_concurrence(cs)
     exceed = cs > mi
-    _line(res, "samples with C > MI", ">= 1", str(int(exceed.sum())), "-",
-          bool(exceed.any()))
+    res.add("samples with C > MI", ">= 1", str(int(exceed.sum())), "-",
+            bool(exceed.any()))
     worst = float((eof - mi).max())
-    _line(res, "max(EoF - MI)", "<= 1e-09", f"{worst:.3e}", 1e-9, worst <= 1e-9)
+    res.add("max(EoF - MI)", "<= 1e-09", f"{worst:.3e}", 1e-9, worst <= 1e-9)
     return res
 
 
@@ -321,20 +311,20 @@ def check_driven_stationarity() -> CheckResult:
     res = CheckResult("driven_stationarity")
     params, traj = _driven_fig7b_trajectory()
     dist = float(np.linalg.norm(traj.states[-1] - traj.states[-2]))
-    _line(res, "final successive-sample distance", "< 1e-08", f"{dist:.2e}", 1e-8,
-          dist < 1e-8)
+    res.add("final successive-sample distance", "< 1e-08", f"{dist:.2e}", 1e-8,
+            dist < 1e-8)
     rho_ss = stationary_state(params)
     drift = float(np.abs(traj.states[-1] - rho_ss).max())
-    _line(res, "trajectory endpoint vs fixed point", "< 1e-08", f"{drift:.2e}",
-          1e-8, drift < 1e-8)
+    res.add("trajectory endpoint vs fixed point", "< 1e-08", f"{drift:.2e}",
+            1e-8, drift < 1e-8)
     rec = correlation_record(rho_ss)
     # the stationary discord-classical split is genuinely tiny here (~1e-12);
     # it is evaluated on the exact fixed point, where the sign is resolvable
-    _line(res, "stationary QD > CC", "QD - CC > 0",
-          f"QD={rec.qd:.9f} CC={rec.cc:.9f} diff={rec.qd - rec.cc:.3e}", "-",
-          rec.qd > rec.cc)
-    _line(res, "stationary CC > 0", "> 0", f"{rec.cc:.6e}", "-", rec.cc > 0.0)
-    _line(res, "stationary EoF", "0", f"{rec.eof:.3e}", "-", rec.eof == 0.0)
+    res.add("stationary QD > CC", "QD - CC > 0",
+            f"QD={rec.qd:.9f} CC={rec.cc:.9f} diff={rec.qd - rec.cc:.3e}", "-",
+            rec.qd > rec.cc)
+    res.add("stationary CC > 0", "> 0", f"{rec.cc:.6e}", "-", rec.cc > 0.0)
+    res.add("stationary EoF", "0", f"{rec.eof:.3e}", "-", rec.eof == 0.0)
     return res
 
 
@@ -359,32 +349,24 @@ def check_optimizer_soundness() -> CheckResult:
         rho = ginibre @ ginibre.conj().T
         rho = rho / rho.trace().real
 
-        cc_opt, _ = classical_correlations(rho)
+        rec = correlation_record(rho)
         s_a = states.von_neumann_entropy(states.partial_trace(rho, "A"))
         vals = _cond_entropy_from_weights(_reorder(rho), weights)
         k = int(np.argmin(vals))
         polish = minimize(
-            lambda x: conditional_entropy(
-                rho, _basis_clipped(x[0], x[1])),
+            lambda x: conditional_entropy(rho, MeasurementBasis(
+                float(np.clip(x[0], 0.0, np.pi / 2)), float(np.mod(x[1], 2.0 * np.pi)))),
             [th_flat[k], ph_flat[k]], method="Nelder-Mead",
             options=dict(xatol=1e-10, fatol=1e-13))
         cc_grid = s_a - min(float(vals[k]), float(polish.fun))
-        worst_cc = max(worst_cc, abs(cc_opt - cc_grid))
+        worst_cc = max(worst_cc, abs(rec.cc - cc_grid))
+        worst_add = max(worst_add, abs(rec.qd + rec.cc - rec.mi))
 
-        gap = abs(quantum_discord(rho) + cc_opt - mutual_information(rho))
-        worst_add = max(worst_add, gap)
-
-    _line(res, "max |CC_opt - CC_grid| over 100 random states", "<= 1e-05",
-          f"{worst_cc:.3e}", 1e-5, worst_cc <= 1e-5)
-    _line(res, "max |QD + CC - MI|", "<= 1e-06", f"{worst_add:.3e}", 1e-6,
-          worst_add <= 1e-6)
+    res.add("max |CC_opt - CC_grid| over 100 random states", "<= 1e-05",
+            f"{worst_cc:.3e}", 1e-5, worst_cc <= 1e-5)
+    res.add("max |QD + CC - MI|", "<= 1e-06", f"{worst_add:.3e}", 1e-6,
+            worst_add <= 1e-6)
     return res
-
-
-def _basis_clipped(theta, phi):
-    from .correlations import MeasurementBasis
-    return MeasurementBasis(float(np.clip(theta, 0.0, np.pi / 2)),
-                            float(np.mod(phi, 2.0 * np.pi)))
 
 
 def check_state_validity() -> CheckResult:
@@ -407,12 +389,12 @@ def check_state_validity() -> CheckResult:
         worst_herm = max(worst_herm, float(np.abs(
             rhos - np.conj(np.transpose(rhos, (0, 2, 1)))).max()))
         worst_eig = min(worst_eig, float(np.linalg.eigvalsh(rhos).min()))
-    _line(res, f"max trace defect over {count} samples", "<= 1e-09",
-          f"{worst_trace:.2e}", 1e-9, worst_trace <= 1e-9)
-    _line(res, "max hermiticity defect", "<= 1e-09", f"{worst_herm:.2e}", 1e-9,
-          worst_herm <= 1e-9)
-    _line(res, "min eigenvalue", ">= -1e-08", f"{worst_eig:.2e}", 1e-8,
-          worst_eig >= -1e-8)
+    res.add(f"max trace defect over {count} samples", "<= 1e-09",
+            f"{worst_trace:.2e}", 1e-9, worst_trace <= 1e-9)
+    res.add("max hermiticity defect", "<= 1e-09", f"{worst_herm:.2e}", 1e-9,
+            worst_herm <= 1e-9)
+    res.add("min eigenvalue", ">= -1e-08", f"{worst_eig:.2e}", 1e-8,
+            worst_eig >= -1e-8)
     return res
 
 
@@ -445,22 +427,15 @@ def run_check(name: str) -> CheckResult:
 def run_all(name_filter: str = "", stream=None) -> bool:
     """Run (filtered) checks, print a report, return True when all passed."""
     stream = stream or sys.stdout
-    selected = [fn for fn in CHECKS
-                if name_filter in fn.__name__.removeprefix("check_")]
+    names = [fn.__name__.removeprefix("check_") for fn in CHECKS]
+    selected = [name for name in names if name_filter in name]
     if not selected:
         print(f"no checks match filter {name_filter!r}", file=stream)
         return False
     all_ok = True
-    for pos, fn in enumerate(selected, start=1):
-        name = fn.__name__.removeprefix("check_")
-        start = time.perf_counter()
-        result = fn()
-        result.seconds = time.perf_counter() - start
-        verdict = "PASS" if result.passed else "FAIL"
-        print(f"[{pos}/{len(selected)}] {name} ... {verdict} "
-              f"({result.seconds:.2f} s)", file=stream)
-        for line in result.lines:
-            print(f"    {line}", file=stream)
+    for pos, name in enumerate(selected, start=1):
+        result = run_check(name)
+        print(f"[{pos}/{len(selected)}] {result}", file=stream)
         all_ok = all_ok and result.passed
     print("verify: ALL CHECKS PASSED" if all_ok else "verify: FAILURES PRESENT",
           file=stream)

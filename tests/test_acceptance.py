@@ -1,20 +1,18 @@
 """Acceptance gate: the ten release criteria, one test per criterion.
 
-Each test prints a `ACCEPTANCE nn <name>: PASS|FAIL` line plus the
-expected/got/tolerance detail for every sub-check, then asserts. The same
-checks back the `ecsim verify` subcommand.
+Each test prints `ACCEPTANCE nn` and the check's report as `ecsim verify`
+prints it (verdict, then expected/got/tolerance for every sub-check), then
+asserts. The same checks back the `ecsim verify` subcommand.
 """
 import pytest
 
+import ecsim.correlations
 from ecsim import verify
 
 
 def _run(number, name):
     result = verify.run_check(name)
-    verdict = "PASS" if result.passed else "FAIL"
-    print(f"\nACCEPTANCE {number:02d} {name}: {verdict} ({result.seconds:.2f} s)")
-    for line in result.lines:
-        print(f"  {line}")
+    print(f"\nACCEPTANCE {number:02d} {result}")
     failures = [line.label for line in result.lines if line.ok is False]
     assert result.passed, f"criterion {number} failed: {failures}"
 
@@ -57,3 +55,13 @@ def test_criterion_09_optimizer_soundness():
 
 def test_criterion_10_state_validity():
     _run(10, "state_validity")
+
+
+def test_entanglement_checks_do_not_run_the_measurement_search(monkeypatch):
+    # criteria 6 and 7 need C, MI and EoF only
+    def no_search(rhos):
+        raise AssertionError("measurement search called")
+
+    monkeypatch.setattr(ecsim.correlations, "_minimize_batch", no_search)
+    for name in ("entanglement_sudden_birth", "concurrence_exceeds_mutual_information"):
+        assert verify.run_check(name).passed

@@ -6,7 +6,7 @@ import pytest
 
 from ecsim import (AlphaState, MeasurementBasis, NumericsError, SystemParams,
                    XStructureError, ZeroProbabilityOutcomeError, alpha_ket,
-                   analytic_evolution, bell_ket, build_bell_diagonal,
+                   analytic_evolution, bell_ket, binary_entropy, build_bell_diagonal,
                    classical_correlations, concurrence, conditional_entropy,
                    correlation_record, correlation_records, density_from_ket,
                    entanglement_of_formation, entropy_bound_check,
@@ -304,6 +304,9 @@ def test_eof_endpoints_and_reference():
     assert eof_from_concurrence(0.1) == pytest.approx(0.025266127727120, abs=1e-12)
     with pytest.raises(ValueError):
         eof_from_concurrence(1.5)
+    for bad in (np.nan, [0.3, np.nan], [0.3, 1.5], [[0.3], [-0.1]]):
+        with pytest.raises(ValueError):
+            eof_from_concurrence(bad)
 
 
 def test_eof_strictly_monotone_in_concurrence():
@@ -466,6 +469,30 @@ def test_correlation_record_bell_diagonal():
     assert rec.concurrence == pytest.approx(0.6, abs=1e-9)
     assert rec.eof == pytest.approx(eof_from_concurrence(0.6), abs=1e-12)
     assert abs(rec.mi - (rec.qd + rec.cc)) <= 1e-6
+
+
+def test_stacked_measures_equal_per_state_measures(rng):
+    # one implementation per measure: a stack gives exactly the per-state values
+    rhos = np.stack([random_density_matrix(rng) for _ in range(50)]
+                    + [ground_state(), BELL])
+    for fn in (mutual_information, von_neumann_entropy, concurrence):
+        stacked = fn(rhos)
+        assert stacked.shape == (len(rhos),)
+        singles = [fn(rho) for rho in rhos]
+        assert all(type(value) is float for value in singles)
+        assert (stacked == np.array(singles)).all()
+    for keep in ("A", "B"):
+        reduced = partial_trace(rhos, keep)
+        assert reduced.shape == (len(rhos), 2, 2)
+        assert all((reduced[k] == partial_trace(rho, keep)).all()
+                   for k, rho in enumerate(rhos))
+        stacked = von_neumann_entropy(reduced)
+        assert (stacked == np.array([von_neumann_entropy(r) for r in reduced])).all()
+    cs = concurrence(rhos)
+    for fn, values in ((eof_from_concurrence, cs), (binary_entropy, cs / 2 + 0.25)):
+        singles = [fn(float(x)) for x in values]
+        assert all(type(value) is float for value in singles)
+        assert (fn(values) == np.array(singles)).all()
 
 
 def test_correlation_records_match_single_state_path(rng):

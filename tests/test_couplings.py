@@ -118,6 +118,18 @@ def test_couplings_bundle():
     assert cs.gamma == pytest.approx(collective_decay(geo))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("r12_over_lambda0", np.nan), ("r12_over_lambda0", np.inf), ("n", np.nan),
+    ("n", np.inf), ("Gamma1", np.nan), ("Gamma2", np.inf),
+    ("mu1_hat", (np.nan, 0.0, 1.0)), ("mu2_hat", (0.0, np.nan, 1.0)),
+    ("r12_hat", (1.0, 0.0, np.nan))])
+def test_geometry_rejects_non_finite(field, value):
+    kwargs = dict(mu1_hat=EZ, mu2_hat=EZ, r12_hat=EX, r12_over_lambda0=0.1)
+    kwargs[field] = value
+    with pytest.raises(GeometryError, match=f"{field} must be finite"):
+        EmitterGeometry(**kwargs)
+
+
 def test_geometry_validation():
     with pytest.raises(GeometryError):
         EmitterGeometry(mu1_hat=(0, 0, 2.0), mu2_hat=EZ, r12_hat=EX,

@@ -184,10 +184,25 @@ def test_batched_validation_matches_validate_state(rng):
         assert str(info.value).endswith(expected)
 
 
-def test_propagate_non_finite_generator_fails_first_step():
-    p = SystemParams(V=float("nan"), gamma=0.5)
+def test_propagate_non_finite_generator_fails_first_step(monkeypatch):
+    # SystemParams rejects non-finite fields, so the generator is made
+    # non-finite directly
+    exact = ecsim.dynamics.liouvillian
+    monkeypatch.setattr(ecsim.dynamics, "liouvillian",
+                        lambda params: exact(params) * np.nan)
+    p = SystemParams(V=1.0, gamma=0.5)
     with pytest.raises(PropagationError, match="at sample 1 "):
         propagate(ground_state(), p, 1.0, 5)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["V", "gamma", "Gamma1", "Gamma2", "delta_minus",
+                                   "delta_plus", "ell1", "ell2"])
+def test_system_params_reject_non_finite(field, value):
+    kwargs = dict(V=1.0, gamma=0.5)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SystemParams(**kwargs)
 
 
 def test_analytic_evolution_initial_condition(rng):

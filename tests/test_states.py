@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from ecsim import (NonPhysicalStateError, alpha_ket, bell_ket, binary_entropy,
-                   build_bell_diagonal, density_from_ket, ground_state,
-                   partial_trace, validate_state, von_neumann_entropy)
+                   build_bell_diagonal, correlation_record, correlation_records,
+                   density_from_ket, ground_state, partial_trace, validate_state,
+                   von_neumann_entropy)
 from helpers import random_density_matrix, random_pure_ket, random_unitary
 
 
@@ -87,10 +88,18 @@ def test_entropy_schmidt_symmetry(rng):
         assert diff < 1e-10
 
 
-def test_entropy_rejects_negative_eigenvalue():
+def test_entropy_rejects_negative_eigenvalue(rng):
     rho = np.diag([0.55, 0.5, -0.05, 0.0]).astype(complex)
     with pytest.raises(NonPhysicalStateError):
         von_neumann_entropy(rho)
+    # the same type for a single state, inside a stack, and from the records
+    slightly = np.diag([0.5 + 1e-6, 0.5, -1e-6, 0.0]).astype(complex)
+    stack = np.stack([random_density_matrix(rng), slightly, random_density_matrix(rng)])
+    for call in (lambda: von_neumann_entropy(slightly), lambda: von_neumann_entropy(stack),
+                 lambda: correlation_record(slightly),
+                 lambda: correlation_records(np.arange(3.0), stack)):
+        with pytest.raises(NonPhysicalStateError):
+            call()
 
 
 def test_entropy_clamps_roundoff_negativity():
@@ -117,6 +126,9 @@ def test_binary_entropy_domain():
         binary_entropy(1.01)
     # 1e-12 slack around the endpoints is accepted
     assert binary_entropy(1.0 + 5e-13) == 0.0
+    for bad in (np.nan, [0.2, np.nan], [0.2, 1.01], [[0.5], [-0.01]]):
+        with pytest.raises(ValueError):
+            binary_entropy(bad)
 
 
 def test_validate_state_accepts_bell():
