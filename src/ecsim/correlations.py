@@ -344,10 +344,11 @@ class CorrelationRecord:
 
 
 def correlation_records(times, rhos) -> list:
-    """CorrelationRecord for every sample of a trajectory, with the measurement
-    search batched across samples. The one place where MI, CC, QD and EoF are
-    assembled: CC and QD share one argmax basis, so MI = QD + CC holds as an
-    identity up to float roundoff."""
+    """CorrelationRecord for every state of a stack, one or several
+    trajectories' samples, with the measurement search batched across them; a
+    state's record does not depend on its place in the stack. The one place
+    where MI, CC, QD and EoF are assembled: CC and QD share one argmax basis,
+    so MI = QD + CC holds as an identity up to float roundoff."""
     rhos = np.asarray(rhos, dtype=complex)
     times = np.asarray(times, dtype=float)
     if rhos.ndim != 3 or rhos.shape[0] != times.size:

@@ -25,8 +25,6 @@ Recognized keys:
 """
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -45,6 +43,8 @@ _GEOMETRY_KEYS = ("mu1", "mu2", "r12_hat", "r12_over_lambda0", "n",
 _INITIAL_KINDS = ("alpha_state", "ground", "doubly_excited", "bell_diagonal",
                   "matrix")
 _SCAN_AXES = ("alpha", "distance", "laser_amplitude")
+# states held by one run (time.samples x scan.steps); ~2.3 KiB each at peak
+MAX_STATES = 1_000_000
 
 
 def parse_flat_config(text: str) -> dict:
@@ -253,6 +253,11 @@ def parse_scenario(text: str) -> Scenario:
         if axis == "alpha" and kind != "alpha_state":
             raise ScenarioError("alpha scan requires initial.kind = alpha_state")
 
+    state_count = sample_count * (scan.steps if scan else 1)
+    if state_count > MAX_STATES:
+        raise ScenarioError(f"time.samples x scan.steps = {state_count} exceeds "
+                            f"the cap of {MAX_STATES} states")
+
     if entries:
         raise ScenarioError(f"unknown keys: {sorted(entries)}")
     return Scenario(initial_kind=kind, initial_args=initial_args, params=params,
@@ -302,56 +307,31 @@ def _apply_scan_point(scenario: Scenario, value: float) -> Scenario:
     raise ScenarioError(f"unknown scan axis {axis!r}")
 
 
-def _evolve_rows(scenario: Scenario, project: bool, prefix=()):
-    result = propagate(scenario.initial_density(), scenario.params,
-                       scenario.t_final, scenario.sample_count, project=project)
-    records = correlation_records(result.times, result.states)
-    rows = []
-    for rec in records:
-        rows.append(tuple(prefix) + (
-            _fmt(rec.t), _fmt(rec.mi), _fmt(rec.cc), _fmt(rec.qd),
-            _fmt(rec.concurrence), _fmt(rec.eof),
-            _fmt(rec.basis.theta_m), _fmt(rec.basis.phi_m)))
-    return rows
-
-
-def _scan_workers(point_count: int) -> int:
-    cap = os.environ.get("EC_THREADS", "")
-    if cap.strip():
-        try:
-            limit = int(cap)
-        except ValueError as exc:
-            raise ScenarioError(f"EC_THREADS must be an integer, got {cap!r}") from exc
-        if limit < 1:
-            raise ScenarioError("EC_THREADS must be >= 1")
-    else:
-        limit = os.cpu_count() or 1
-    return max(1, min(limit, point_count))
-
-
 def run_scenario(scenario: Scenario, project: bool = False) -> OutputTable:
     """Propagate the scenario and tabulate one row per (scan point x) sample.
 
     Columns: t, MI, CC, QD, C, EoF, theta_m, phi_m (scan runs prepend the scan
-    value). Output is deterministic and independent of scan parallelism; the
-    EC_THREADS environment variable caps the number of worker threads.
+    value). A plain evolve is a one-point run with an empty prefix. Each point
+    is propagated on its own; one correlation_records call then covers the
+    states of all points, so a scan's rows equal its points' evolve rows.
     """
-    base = ("t", "MI", "CC", "QD", "C", "EoF", "theta_m", "phi_m")
-    if scenario.scan is None:
-        return OutputTable(header=base, rows=tuple(_evolve_rows(scenario, project)))
+    header = ("t", "MI", "CC", "QD", "C", "EoF", "theta_m", "phi_m")
+    points = [((), scenario)]
+    if scenario.scan is not None:
+        header = (scenario.scan.axis,) + header
+        points = [((_fmt(v),), _apply_scan_point(scenario, float(v)))
+                  for v in scenario.scan.values()]
 
-    values = scenario.scan.values()
-    header = (scenario.scan.axis,) + base
-    workers = _scan_workers(len(values))
-
-    def one_point(value: float):
-        point = _apply_scan_point(scenario, float(value))
-        return _evolve_rows(point, project, prefix=(_fmt(value),))
-
-    if workers == 1:
-        blocks = [one_point(v) for v in values]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(one_point, values))
-    rows = [row for block in blocks for row in block]
-    return OutputTable(header=header, rows=tuple(rows))
+    runs = [propagate(point.initial_density(), point.params, point.t_final,
+                      point.sample_count, project=project) for _, point in points]
+    prefixes = [prefix for (prefix, _), run in zip(points, runs) for _ in run.times]
+    times = np.concatenate([run.times for run in runs])
+    rhos = np.concatenate([run.states for run in runs])
+    del runs  # keep one copy of the states through the search
+    records = correlation_records(times, rhos)
+    rows = tuple(prefix + (
+        _fmt(rec.t), _fmt(rec.mi), _fmt(rec.cc), _fmt(rec.qd),
+        _fmt(rec.concurrence), _fmt(rec.eof),
+        _fmt(rec.basis.theta_m), _fmt(rec.basis.phi_m))
+        for prefix, rec in zip(prefixes, records))
+    return OutputTable(header=header, rows=rows)

@@ -119,6 +119,17 @@ def test_evolve_rejects_non_finite_input(tmp_path, capsys, text):
     assert "not finite" in capsys.readouterr().err
 
 
+def test_evolve_rejects_too_many_states(tmp_path, capsys):
+    scenario = tmp_path / "huge.cfg"
+    scenario.write_text(FIG1_SCENARIO.replace("time.samples = 400",
+                                              "time.samples = 1000000000000"))
+    assert main(["evolve", str(scenario)]) == 1
+    err = capsys.readouterr().err
+    assert "exceeds" in err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
 def test_scan_requires_scan_section(tmp_path):
     scenario = tmp_path / "noscan.cfg"
     scenario.write_text(FIG1_SCENARIO)

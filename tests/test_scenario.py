@@ -1,9 +1,12 @@
 """Scenario parsing, the run pipeline, and CSV output guarantees."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import ecsim.scenario as scenario_mod
 from ecsim import ScenarioError, parse_scenario, run_scenario
-from ecsim.scenario import parse_flat_config
+from ecsim.scenario import _apply_scan_point, parse_flat_config
 
 BASE = """
 # Fig.-4 parameter point
@@ -149,39 +152,60 @@ def test_run_scenario_csv_shape():
     assert lines[2].split(",")[0] == "0.5"
 
 
-def test_run_scenario_scan_ordering_and_threads(monkeypatch):
-    scan_text = BASE + "scan.axis = alpha\nscan.start = 0\nscan.stop = 1\nscan.steps = 3\n"
-    scenario = parse_scenario(scan_text)
-    monkeypatch.setenv("EC_THREADS", "1")
-    serial = run_scenario(scenario)
-    monkeypatch.setenv("EC_THREADS", "3")
-    threaded = run_scenario(scenario)
-    assert serial.to_csv() == threaded.to_csv()
-    assert serial.header[0] == "alpha"
+SCANS = {
+    "alpha": BASE + "scan.axis = alpha\nscan.start = 0\nscan.stop = 1\nscan.steps = 3\n",
+    "laser_amplitude": BASE + ("scan.axis = laser_amplitude\nscan.start = 0\n"
+                               "scan.stop = 0.5\nscan.steps = 2\n"),
+    "distance": GEOMETRY + ("scan.axis = distance\nscan.start = 0.2\n"
+                            "scan.stop = 0.4\nscan.steps = 2\n"),
+}
+
+
+@pytest.mark.parametrize("axis", sorted(SCANS))
+def test_run_scenario_scan_matches_point_runs(axis):
+    scenario = parse_scenario(SCANS[axis])
+    table = run_scenario(scenario)
+    values = scenario.scan.values()
+    assert table.header == (axis, "t", "MI", "CC", "QD", "C", "EoF", "theta_m", "phi_m")
+    assert len(table.rows) == len(values) * scenario.sample_count
     # rows ordered by scan value, then time
-    alphas = [float(r[0]) for r in serial.rows]
-    assert alphas == sorted(alphas)
-    times = [float(r[1]) for r in serial.rows[:5]]
-    assert times == sorted(times)
-    monkeypatch.setenv("EC_THREADS", "zero")
-    with pytest.raises(ScenarioError):
-        run_scenario(scenario)
+    keys = [(float(r[0]), float(r[1])) for r in table.rows]
+    assert keys == sorted(keys)
+    # one search over all points gives each point's own evolve rows, byte for byte
+    expected = [",".join(table.header)]
+    for value in values:
+        point = replace(_apply_scan_point(scenario, float(value)), scan=None)
+        expected.extend(format(value, ".15g") + "," + line
+                        for line in run_scenario(point).to_csv().splitlines()[1:])
+    assert table.to_csv() == "\n".join(expected) + "\n"
 
 
-def test_run_scenario_laser_amplitude_scan():
-    text = BASE + ("scan.axis = laser_amplitude\nscan.start = 0\n"
-                   "scan.stop = 0.5\nscan.steps = 2\n")
-    table = run_scenario(parse_scenario(text))
-    assert table.header[0] == "laser_amplitude"
-    assert len(table.rows) == 2 * 5
+def test_run_scenario_scan_is_one_search_pass(monkeypatch):
+    calls = {"propagate": 0, "correlation_records": 0}
+
+    def counted(name):
+        original = getattr(scenario_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(scenario_mod, name, counted(name))
+    scenario = parse_scenario(SCANS["alpha"])
+    run_scenario(scenario)
+    assert calls == {"propagate": scenario.scan.steps, "correlation_records": 1}
 
 
-def test_run_scenario_distance_scan():
-    text = GEOMETRY + ("scan.axis = distance\nscan.start = 0.2\n"
-                       "scan.stop = 0.4\nscan.steps = 2\n")
-    table = run_scenario(parse_scenario(text))
-    assert table.header[0] == "distance"
-    assert len(table.rows) == 2 * 4
+def test_state_count_is_capped():
+    with pytest.raises(ScenarioError, match="exceeds"):
+        parse_scenario(BASE.replace("time.samples = 5", "time.samples = 1000000000000"))
+    scan = BASE.replace("time.samples = 5", "time.samples = 100000") + (
+        "scan.axis = laser_amplitude\nscan.start = 0\nscan.stop = 1\n")
+    with pytest.raises(ScenarioError, match="exceeds"):
+        parse_scenario(scan + "scan.steps = 11\n")
+    assert parse_scenario(scan + "scan.steps = 10\n").scan.steps == 10
 
 
 def test_distance_scan_default_window():
