@@ -285,18 +285,23 @@ def entanglement_of_formation(rho: np.ndarray):
     return eof_from_concurrence(concurrence(rho))
 
 
-# indices allowed to be nonzero in the single-excitation X class:
-# diagonal minus the doubly-excited entry, plus the |01><10| coherence
-_X_ALLOWED = {(0, 0), (1, 1), (2, 2), (1, 2), (2, 1)}
+# entries that must vanish in the single-excitation X class: everything but
+# the diagonal without the doubly-excited entry, and the |01><10| coherence
+_X_FORBIDDEN = np.array([[0, 1, 1, 1],
+                         [1, 0, 0, 1],
+                         [1, 0, 0, 1],
+                         [1, 1, 1, 1]], dtype=bool)
 
 
 def _require_x_structure(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """The (..., 4, 4) stack as complex; XStructureError naming the first
+    forbidden element above tol, in the first state that has one."""
     rho = np.asarray(rho, dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            if (i, j) not in _X_ALLOWED and abs(rho[i, j]) > tol:
-                raise XStructureError(
-                    f"element ({i},{j}) = {rho[i, j]:.3e} breaks the required X structure")
+    bad = _X_FORBIDDEN & (np.abs(rho) > tol)
+    if bad.any():
+        *k, i, j = np.argwhere(bad)[0]
+        raise XStructureError(f"element ({i},{j}) = {rho[(*k, i, j)]:.3e} "
+                              "breaks the required X structure")
     return rho
 
 
@@ -306,28 +311,29 @@ def xstate_conditional_entropy_branches(rho: np.ndarray):
     Branch 1 is the computational-basis measurement on B; branch 2 is the
     equatorial one, with xi = sqrt((1 - 2 rho_10,10)^2 + 4 |rho_01,10|^2)
     clamped to <= 1. The true minimum over all bases is min of the two.
+    Floats (s1, s2) for one state, arrays for a (..., 4, 4) stack.
     """
     rho = _require_x_structure(rho)
-    p00 = float(rho[0, 0].real)
-    p10 = float(rho[2, 2].real)
-    coh = complex(rho[1, 2])
-
+    p00 = rho[..., 0, 0].real
+    p10 = rho[..., 2, 2].real
     total = p00 + p10
-    s1 = 0.0
-    if total > _ZERO_PROB:
-        for p in (p00, p10):
-            if p > _ZERO_PROB:
-                s1 -= p * np.log(p / total) / _LN2
+    s1 = np.zeros_like(total)
+    for p in (p00, p10):
+        keep = (total > _ZERO_PROB) & (p > _ZERO_PROB)
+        ratio = np.where(keep, p / np.where(keep, total, 1.0), 1.0)
+        s1 -= np.where(keep, p * np.log(ratio) / _LN2, 0.0)
 
-    xi = min(np.sqrt((1.0 - 2.0 * p10) ** 2 + 4.0 * abs(coh) ** 2), 1.0)
+    xi = np.minimum(np.sqrt((1.0 - 2.0 * p10) ** 2
+                            + 4.0 * np.abs(rho[..., 1, 2]) ** 2), 1.0)
     s2 = states.binary_entropy(0.5 * (1.0 + xi))
-    return float(s1), float(s2)
+    return states._float_or_array(s1), states._float_or_array(s2)
 
 
-def xstate_concurrence(rho: np.ndarray) -> float:
-    """Concurrence of the zero-doubly-excited X class: 2 max(0, |rho_01,10|)."""
+def xstate_concurrence(rho: np.ndarray):
+    """Concurrence of the zero-doubly-excited X class, min(2 |rho_01,10|, 1): a
+    float for one state, an array for a (..., 4, 4) stack."""
     rho = _require_x_structure(rho)
-    return float(min(2.0 * abs(rho[1, 2]), 1.0))
+    return states._float_or_array(np.minimum(2.0 * np.abs(rho[..., 1, 2]), 1.0))
 
 
 @dataclass(frozen=True)

@@ -208,8 +208,7 @@ def check_correlation_hierarchy() -> CheckResult:
     s_b = states.von_neumann_entropy(states.partial_trace(all_states, "B"))
     s_ab = states.von_neumann_entropy(all_states)
     bound = qd - cc
-    closed = np.array([min(xstate_conditional_entropy_branches(rho))
-                       for rho in all_states])
+    closed = np.minimum(*xstate_conditional_entropy_branches(all_states))
     closed_bound = s_b + 2.0 * closed - s_a - s_ab
     visible = eof > 0.01
 

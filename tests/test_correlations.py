@@ -367,6 +367,30 @@ def test_xstate_branches_reject_non_x_states(rng):
         xstate_concurrence(random_density_matrix(rng))
 
 
+def test_xstate_closed_forms_stacked_equal_per_state(rng):
+    params = SystemParams(V=2.03, gamma=0.91)
+    stack = np.stack([analytic_evolution(AlphaState(rng.uniform(), rng.uniform(0, 2 * np.pi)),
+                                         params, rng.uniform(0, 6))
+                      for _ in range(60)]
+                     + [density_from_ket(alpha_ket(1.0)),   # p00 + p10 = 0
+                        density_from_ket(bell_ket("psi-")), ground_state()])
+    s1, s2 = xstate_conditional_entropy_branches(stack)
+    c = xstate_concurrence(stack)
+    assert s1.shape == s2.shape == c.shape == (len(stack),)
+    for k, rho in enumerate(stack):
+        one = xstate_conditional_entropy_branches(rho)
+        assert all(type(value) is float for value in one)
+        assert one == (s1[k], s2[k])
+        assert xstate_concurrence(rho) == c[k]
+    # one bad state rejects the stack, with the message a single state gets
+    bad = stack.copy()
+    bad[41, 3, 0] = 1e-3
+    message = r"element \(3,0\) = 1\.000e-03\+0\.000e\+00j breaks the required X"
+    for rhos in (bad, bad[41]):
+        with pytest.raises(XStructureError, match=message):
+            xstate_conditional_entropy_branches(rhos)
+
+
 def test_xstate_concurrence_reference_cases():
     assert xstate_concurrence(density_from_ket(bell_ket("psi+"))) == \
         pytest.approx(1.0, abs=1e-12)

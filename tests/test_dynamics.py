@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 import ecsim.dynamics
 from ecsim import (AlphaState, AnalyticFormError, NonPhysicalStateError,
-                   PropagationError, SystemParams, analytic_evolution,
+                   NumericsError, PropagationError, SystemParams, analytic_evolution,
                    build_bell_diagonal, build_hamiltonian, bell_ket, density_from_ket,
                    doubly_excited_state, ground_state, lindblad_rhs,
                    liouvillian, partial_trace, propagate, stationary_state,
@@ -151,6 +152,21 @@ def test_propagate_matches_independent_integration(rng):
     assert np.abs(result.states - reference).max() < 1e-8
 
 
+def test_propagate_doubling_fill_matches_step_loop(rng):
+    # reference: one scipy-expm step per sample, applied in a loop; sample
+    # counts on both sides of powers of two exercise the partial last block
+    p = SystemParams(V=2.4, gamma=-0.6, Gamma2=1.1, delta_minus=0.3,
+                     delta_plus=0.8, ell1=3.5, ell2=1.2)
+    rho0 = random_density_matrix(rng)
+    for samples in (2, 3, 64, 65, 601):
+        result = propagate(rho0, p, 30.0, samples)
+        step = expm(liouvillian(p) * (result.times[1] - result.times[0]))
+        vec = rho0.reshape(16, order="F")
+        for k in range(samples):
+            assert np.abs(result.states[k] - vec.reshape(4, 4, order="F")).max() < 1e-12
+            vec = step @ vec
+
+
 def test_propagate_names_first_failing_sample(monkeypatch):
     # a uniform leak of 3e-11 per unit time breaks the 1e-9 trace tolerance
     # between t = 33 (defect 9.9e-10) and t = 34 (defect 1.02e-9)
@@ -193,6 +209,37 @@ def test_propagate_non_finite_generator_fails_first_step(monkeypatch):
     p = SystemParams(V=1.0, gamma=0.5)
     with pytest.raises(PropagationError, match="at sample 1 "):
         propagate(ground_state(), p, 1.0, 5)
+
+
+def test_expm_matches_scipy_over_benchmark_ranges(rng):
+    # reference: scipy's expm (Al-Mohy & Higham 2009), a separate algorithm.
+    # Steps up to 10/Gamma give ||L dt||_1 of several hundred, so up to ~7
+    # squarings run
+    norms = []
+    for _ in range(60):
+        gamma2 = rng.uniform(0.8, 1.2)
+        bound = 0.9 * np.sqrt(gamma2)
+        p = SystemParams(V=rng.uniform(0.0, 12.0), gamma=rng.uniform(-bound, bound),
+                         Gamma2=gamma2, delta_minus=rng.uniform(-0.5, 0.5),
+                         delta_plus=rng.uniform(-1.0, 1.0),
+                         ell1=rng.uniform(0.0, 10.0), ell2=rng.uniform(0.0, 10.0))
+        a = liouvillian(p) * 10.0 ** rng.uniform(-3.0, 1.0)
+        norms.append(np.abs(a).sum(axis=0).max())
+        reference = expm(a)
+        assert (np.abs(ecsim.dynamics._expm(a) - reference).max()
+                <= 1e-13 * np.abs(reference).max())
+    assert max(norms) > 100.0
+
+
+def test_expm_zero_and_defective_generators():
+    zero = np.zeros((16, 16), dtype=complex)
+    assert np.array_equal(ecsim.dynamics._expm(zero), np.eye(16))
+    # a nilpotent Jordan block has no eigenbasis; N^2 = 0, so exp(N) = I + N.
+    # Scale 3e3 takes 10 squarings
+    for scale in (0.5, 40.0, 3e3):
+        n = np.array([[0.0, scale], [0.0, 0.0]], dtype=complex)
+        exact = np.eye(2) + n
+        assert np.abs(ecsim.dynamics._expm(n) - exact).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -301,6 +348,13 @@ def test_driven_evolution_reaches_stationary_state():
 def test_stationary_state_without_drive_is_ground():
     rho = stationary_state(SystemParams(V=2.0, gamma=0.5))
     assert np.abs(rho - ground_state()).max() < 1e-10
+
+
+def test_stationary_state_rejects_degenerate_fixed_point():
+    # gamma = Gamma: the antisymmetric state |Psi-> does not decay and is an
+    # eigenstate of H, so it is a second fixed point beside the ground state
+    with pytest.raises(NumericsError, match="not unique: null space dimension 2"):
+        stationary_state(SystemParams(V=1.0, gamma=1.0))
 
 
 def test_system_params_validation():
