@@ -28,8 +28,6 @@ def _build_parser() -> argparse.ArgumentParser:
     evolve = sub.add_parser("evolve", help="propagate one scenario, emit CSV")
     evolve.add_argument("scenario", help="scenario file")
     evolve.add_argument("-o", "--output", help="output CSV path (default stdout)")
-    evolve.add_argument("--project", action="store_true",
-                        help="symmetrize each sample (exploratory runs)")
 
     coup = sub.add_parser("couplings", help="print V, gamma for a geometry file")
     coup.add_argument("geometry", help="geometry file (geometry.* keys)")
@@ -37,8 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="run the scenario's scan axis, emit CSV")
     scan.add_argument("scenario", help="scenario file with a scan.* section")
     scan.add_argument("-o", "--output", help="output CSV path (default stdout)")
-    scan.add_argument("--project", action="store_true",
-                      help="symmetrize each sample (exploratory runs)")
 
     ver = sub.add_parser("verify", help="run the acceptance checks")
     ver.add_argument("--filter", default="",
@@ -59,7 +55,7 @@ def _cmd_evolve(args) -> int:
     scenario = load_scenario(args.scenario)
     if scenario.scan is not None:
         raise ScenarioError("scenario has a scan section; use `ecsim scan`")
-    _emit(run_scenario(scenario, project=args.project), args.output)
+    _emit(run_scenario(scenario), args.output)
     return 0
 
 
@@ -67,7 +63,7 @@ def _cmd_scan(args) -> int:
     scenario = load_scenario(args.scenario)
     if scenario.scan is None:
         raise ScenarioError("scenario has no scan section; use `ecsim evolve`")
-    _emit(run_scenario(scenario, project=args.project), args.output)
+    _emit(run_scenario(scenario), args.output)
     return 0
 
 

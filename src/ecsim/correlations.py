@@ -291,13 +291,14 @@ _X_FORBIDDEN = np.array([[0, 1, 1, 1],
                          [1, 0, 0, 1],
                          [1, 0, 0, 1],
                          [1, 1, 1, 1]], dtype=bool)
+_X_TOL = 1e-10
 
 
-def _require_x_structure(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _require_x_structure(rho: np.ndarray) -> np.ndarray:
     """The (..., 4, 4) stack as complex; XStructureError naming the first
-    forbidden element above tol, in the first state that has one."""
+    forbidden element above _X_TOL, in the first state that has one."""
     rho = np.asarray(rho, dtype=complex)
-    bad = _X_FORBIDDEN & (np.abs(rho) > tol)
+    bad = _X_FORBIDDEN & (np.abs(rho) > _X_TOL)
     if bad.any():
         *k, i, j = np.argwhere(bad)[0]
         raise XStructureError(f"element ({i},{j}) = {rho[(*k, i, j)]:.3e} "

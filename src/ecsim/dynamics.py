@@ -184,7 +184,7 @@ def _unvec(vec: np.ndarray) -> np.ndarray:
 
 
 def propagate(rho0: np.ndarray, params: SystemParams, t_final: float,
-              sample_count: int, project: bool = False) -> EvolutionResult:
+              sample_count: int) -> EvolutionResult:
     """Evolve under the master equation and sample the state on a uniform grid.
 
     The laser-frame generator is time independent, so sample k is exactly
@@ -201,8 +201,6 @@ def propagate(rho0: np.ndarray, params: SystemParams, t_final: float,
     params : master-equation coefficients.
     t_final : final time in 1/Gamma; samples cover [0, t_final].
     sample_count : number of samples, >= 2.
-    project : symmetrize each sample as (rho + rho^dagger)/2 before validation
-        (exploratory runs only; invariant violations otherwise fail loudly).
 
     Returns an EvolutionResult whose every sample satisfies the density-matrix
     invariants; raises PropagationError otherwise.
@@ -227,31 +225,15 @@ def propagate(rho0: np.ndarray, params: SystemParams, t_final: float,
     # rows are column-stacked, so the C-order reshape holds each rho transposed
     sampled = np.ascontiguousarray(
         vecs.reshape(sample_count, 4, 4).transpose(0, 2, 1))
-    if project:
-        sampled = 0.5 * (sampled + sampled.conj().transpose(0, 2, 1))
-    _validate_samples(sampled, times)
-    return EvolutionResult(times=times, states=sampled)
-
-
-def _validate_samples(sampled: np.ndarray, times: np.ndarray) -> None:
-    """Batched validate_state over (n, 4, 4) samples; raise PropagationError
-    naming the first sample that breaks an invariant (NaN breaks all three)."""
-    adjoint = sampled.conj().transpose(0, 2, 1)
-    herm = np.abs(sampled - adjoint).max(axis=(1, 2))
-    trace = np.abs(np.trace(sampled, axis1=1, axis2=2) - 1.0)
-    # eigvalsh does not converge on non-finite input; such samples fail anyway
-    finite = np.isfinite(sampled).all(axis=(1, 2))
-    hermitian_part = np.where(finite[:, None, None],
-                              0.5 * (sampled + adjoint), 0.0)
-    evmin = np.where(finite, np.linalg.eigvalsh(hermitian_part)[:, 0], np.nan)
-    ok = ((herm <= states.HERMITICITY_TOL) & (trace <= states.TRACE_TOL)
-          & (evmin >= -states.NEGATIVITY_TOL))
-    if not ok.all():
-        k = int(np.argmin(ok))
+    report = states.validate_state(sampled)
+    if not report.ok.all():
+        k = int(np.argmin(report.ok))
         raise PropagationError(
             f"propagation diverged at sample {k} (t = {times[k]:.6g}): "
-            f"hermiticity defect {herm[k]:.2e}, trace defect "
-            f"{trace[k]:.2e}, min eigenvalue {evmin[k]:.2e}")
+            f"hermiticity defect {report.hermiticity_defect[k]:.2e}, "
+            f"trace defect {report.trace_defect[k]:.2e}, "
+            f"min eigenvalue {report.min_eigenvalue[k]:.2e}")
+    return EvolutionResult(times=times, states=sampled)
 
 
 def analytic_evolution(state: AlphaState, params: SystemParams, t):

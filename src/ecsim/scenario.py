@@ -143,16 +143,16 @@ class Scenario:
         raise ScenarioError(f"unknown initial state kind {kind!r}")
 
 
-def parse_geometry(entries: dict, prefix: str = "geometry.") -> EmitterGeometry:
+def parse_geometry(entries: dict) -> EmitterGeometry:
     """Build an EmitterGeometry from `geometry.*` keys of a flat config."""
     return EmitterGeometry(
-        mu1_hat=_as_vector(entries, prefix + "mu1"),
-        mu2_hat=_as_vector(entries, prefix + "mu2"),
-        r12_hat=_as_vector(entries, prefix + "r12_hat"),
-        r12_over_lambda0=_as_float(entries, prefix + "r12_over_lambda0"),
-        n=_as_float(entries, prefix + "n", 1.0),
-        Gamma1=_as_float(entries, prefix + "Gamma1", 1.0),
-        Gamma2=_as_float(entries, prefix + "Gamma2", 1.0),
+        mu1_hat=_as_vector(entries, "geometry.mu1"),
+        mu2_hat=_as_vector(entries, "geometry.mu2"),
+        r12_hat=_as_vector(entries, "geometry.r12_hat"),
+        r12_over_lambda0=_as_float(entries, "geometry.r12_over_lambda0"),
+        n=_as_float(entries, "geometry.n", 1.0),
+        Gamma1=_as_float(entries, "geometry.Gamma1", 1.0),
+        Gamma2=_as_float(entries, "geometry.Gamma2", 1.0),
     )
 
 
@@ -307,7 +307,7 @@ def _apply_scan_point(scenario: Scenario, value: float) -> Scenario:
     raise ScenarioError(f"unknown scan axis {axis!r}")
 
 
-def run_scenario(scenario: Scenario, project: bool = False) -> OutputTable:
+def run_scenario(scenario: Scenario) -> OutputTable:
     """Propagate the scenario and tabulate one row per (scan point x) sample.
 
     Columns: t, MI, CC, QD, C, EoF, theta_m, phi_m (scan runs prepend the scan
@@ -323,7 +323,7 @@ def run_scenario(scenario: Scenario, project: bool = False) -> OutputTable:
                   for v in scenario.scan.values()]
 
     runs = [propagate(point.initial_density(), point.params, point.t_final,
-                      point.sample_count, project=project) for _, point in points]
+                      point.sample_count) for _, point in points]
     prefixes = [prefix for (prefix, _), run in zip(points, runs) for _ in run.times]
     times = np.concatenate([run.times for run in runs])
     rhos = np.concatenate([run.states for run in runs])

@@ -71,39 +71,43 @@ def density_from_ket(ket: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateReport:
-    """Diagnostics from validate_state; `ok` means all three invariants hold."""
+    """Diagnostics from validate_state: floats and bools for one state, arrays
+    over the leading axes for a stack; `ok` means all three invariants hold."""
 
-    hermiticity_defect: float
-    trace_defect: float
-    min_eigenvalue: float
-    hermitian: bool
-    unit_trace: bool
-    positive: bool
+    hermiticity_defect: float | np.ndarray
+    trace_defect: float | np.ndarray
+    min_eigenvalue: float | np.ndarray
+    hermitian: bool | np.ndarray
+    unit_trace: bool | np.ndarray
+    positive: bool | np.ndarray
 
     @property
-    def ok(self) -> bool:
-        return self.hermitian and self.unit_trace and self.positive
+    def ok(self) -> bool | np.ndarray:
+        return self.hermitian & self.unit_trace & self.positive
 
 
-def validate_state(rho: np.ndarray,
-                   herm_tol: float = HERMITICITY_TOL,
-                   trace_tol: float = TRACE_TOL,
-                   neg_tol: float = NEGATIVITY_TOL) -> StateReport:
-    """Check Hermiticity, unit trace, and positivity of a density matrix."""
+def validate_state(rho: np.ndarray) -> StateReport:
+    """Check Hermiticity, unit trace and positivity of an (n, n) density
+    matrix, or of each state of an (..., n, n) stack.
+
+    A state with a non-finite entry reads NaN in all three defects and so
+    fails all three invariants.
+    """
     rho = np.asarray(rho, dtype=complex)
-    herm = float(np.abs(rho - rho.conj().T).max())
-    trace = float(abs(rho.trace() - 1.0))
+    adjoint = np.swapaxes(rho, -1, -2).conj()
+    finite = np.isfinite(rho).all(axis=(-2, -1))
     # eigenvalues of the Hermitian part; a non-Hermitian input is already
-    # flagged by herm, and the symmetrized spectrum is the meaningful one
-    evmin = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min())
-    return StateReport(
-        hermiticity_defect=herm,
-        trace_defect=trace,
-        min_eigenvalue=evmin,
-        hermitian=herm <= herm_tol,
-        unit_trace=trace <= trace_tol,
-        positive=evmin >= -neg_tol,
-    )
+    # flagged by herm, and the symmetrized spectrum is the meaningful one.
+    # eigvalsh does not converge on non-finite input, so such states are zeroed
+    hermitian_part = np.where(finite[..., None, None], 0.5 * (rho + adjoint), 0.0)
+    defects = (np.abs(rho - adjoint).max(axis=(-2, -1)),
+               np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0),
+               np.linalg.eigvalsh(hermitian_part)[..., 0])
+    herm, trace, evmin = (_float_or_array(np.where(finite, d, np.nan)) for d in defects)
+    return StateReport(hermiticity_defect=herm, trace_defect=trace,
+                       min_eigenvalue=evmin, hermitian=herm <= HERMITICITY_TOL,
+                       unit_trace=trace <= TRACE_TOL,
+                       positive=evmin >= -NEGATIVITY_TOL)
 
 
 def assert_physical(rho: np.ndarray, context: str = "state") -> None:
@@ -134,16 +138,16 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
     raise ValueError(f"subsystem label must be 'A' or 'B', got {keep!r}")
 
 
-def clamped_spectrum(rho: np.ndarray, neg_tol: float = NEGATIVITY_TOL) -> np.ndarray:
+def clamped_spectrum(rho: np.ndarray) -> np.ndarray:
     """Eigenvalues of a (..., n, n) stack with roundoff negatives clamped to 0.
 
-    Eigenvalues in [-neg_tol, 0) become 0; anything below -neg_tol raises
+    Eigenvalues in [-NEGATIVITY_TOL, 0) become 0; anything below raises
     NonPhysicalStateError (that is a numerical failure, not roundoff).
     """
     ev = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    if ev.min() < -neg_tol:
+    if ev.min() < -NEGATIVITY_TOL:
         raise NonPhysicalStateError(
-            f"eigenvalue {ev.min():.3e} below -{neg_tol:.0e}: non-physical state")
+            f"eigenvalue {ev.min():.3e} below -{NEGATIVITY_TOL:.0e}: non-physical state")
     return np.clip(ev, 0.0, None)
 
 

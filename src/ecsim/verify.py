@@ -15,8 +15,8 @@ from .correlations import (MeasurementBasis, concurrence, conditional_entropy,
                            xstate_conditional_entropy_branches,
                            _cond_entropy_from_weights, _measurement_weights, _reorder)
 from .couplings import EmitterGeometry, collective_decay, coupling_strength
-from .dynamics import (AlphaState, SystemParams, build_bell_diagonal, propagate,
-                       stationary_state)
+from .dynamics import (AlphaState, SystemParams, analytic_evolution,
+                       build_bell_diagonal, propagate, stationary_state)
 
 # figure-caption parameter sets, units of Gamma
 FIG1_V = 1.0 / 0.7818          # Gamma = 0.7818 V
@@ -152,7 +152,6 @@ def check_coupling_formulas() -> CheckResult:
 
 def check_analytic_numeric_equivalence() -> CheckResult:
     """Criterion 3: propagator matches the closed form elementwise to 1e-6."""
-    from .dynamics import analytic_evolution
     res = CheckResult("analytic_numeric_equivalence")
     worst = 0.0
     worst_label = ""

@@ -138,9 +138,12 @@ def test_scan_requires_scan_section(tmp_path):
     assert main(["scan", str(scenario)]) == 1
 
 
-def test_bad_usage_is_validation_error(capsys):
+def test_bad_usage_is_validation_error(capsys, tmp_path):
+    scenario = tmp_path / "fig1.cfg"
+    scenario.write_text(FIG1_SCENARIO)
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
+    assert main(["evolve", str(scenario), "--project"]) == 1
 
 
 def test_numerical_failure_exit_code(monkeypatch, tmp_path):

@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ecsim.scenario as scenario_mod
-from ecsim import ScenarioError, parse_scenario, run_scenario
+from ecsim import GeometryError, Scenario, ScenarioError, parse_scenario, run_scenario
 from ecsim.scenario import _apply_scan_point, parse_flat_config
 
 BASE = """
@@ -225,3 +227,38 @@ def test_shipped_scenarios_parse():
         assert scenario.sample_count >= 2
     geometry = load_geometry(str(root / "geometry.cfg"))
     assert geometry.r12_over_lambda0 == 0.108
+
+
+_KEYS = (["initial.kind", "initial.alpha", "initial.phi"]
+         + [f"initial.h{i}" for i in (1, 2, 3)]
+         + [f"initial.row{i}" for i in range(4)]
+         + [f"params.{k}" for k in scenario_mod._PARAM_KEYS]
+         + [f"geometry.{k}" for k in scenario_mod._GEOMETRY_KEYS]
+         + ["time.t_final", "time.samples",
+            "scan.axis", "scan.start", "scan.stop", "scan.steps"])
+_VALUES = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e400",
+                     "1e-320", "0", "-1", "1", "0.5", "3", "0 0 1", "1 0 0",
+                     "nan 0 1", "0 inf 0", "1 2", "0.5 0 0 0.5j", "nan+1j 0 0 0",
+                     "1e400j 0 0 0", "9" * 5000, *scenario_mod._INITIAL_KINDS,
+                     *scenario_mod._SCAN_AXES]),
+    st.floats().map(repr),
+    st.integers(-10, 10 ** 13).map(str),
+    st.text(max_size=12),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(base=st.sampled_from([BASE, GEOMETRY, SCANS["alpha"], SCANS["distance"]]),
+       overrides=st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=4),
+       dropped=st.sets(st.sampled_from(_KEYS), max_size=2))
+def test_parser_returns_scenario_or_config_error(base, overrides, dropped):
+    # nan, inf, huge and garbage values over the scenario keys: a Scenario or
+    # a configuration error, never another exception type
+    entries = parse_flat_config(base)
+    entries.update(overrides)
+    text = "".join(f"{k} = {v}\n" for k, v in entries.items() if k not in dropped)
+    try:
+        assert isinstance(parse_scenario(text), Scenario)
+    except (ScenarioError, GeometryError):
+        pass

@@ -162,6 +162,17 @@ def test_validate_state_flags_non_hermitian():
     assert report.hermiticity_defect == pytest.approx(0.1, abs=1e-12)
 
 
+def test_validate_state_fails_nan_state():
+    # eigvalsh on a non-finite matrix returns garbage that may pass positivity
+    rho = density_from_ket(bell_ket("psi+"))
+    rho[1, 2] = np.nan
+    report = validate_state(rho)
+    assert report.positive is False
+    assert np.isnan(report.min_eigenvalue)
+    assert report.hermitian is False and report.unit_trace is False
+    assert np.isnan(report.hermiticity_defect) and np.isnan(report.trace_defect)
+
+
 def test_alpha_ket_endpoints():
     assert np.allclose(alpha_ket(1.0), [0, 1, 0, 0], atol=1e-15)
     assert np.allclose(alpha_ket(0.0), [0, 0, 1, 0], atol=1e-15)
