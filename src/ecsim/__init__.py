@@ -6,14 +6,11 @@ quantum (discord, concurrence, entanglement of formation) correlations along
 dissipative trajectories, with closed-form cross-checks for the
 single-excitation family and a scenario-driven CLI.
 """
-from .correlations import (CorrelationRecord, MeasurementBasis,
-                           classical_correlations, concurrence,
-                           conditional_entropy, correlation_record,
-                           correlation_records, entanglement_of_formation,
-                           entropy_bound_check, eof_from_concurrence,
+from .correlations import (CorrelationRecord, MeasurementBasis, concurrence,
+                           conditional_entropy, correlation_records,
+                           entanglement_of_formation, eof_from_concurrence,
                            minimize_conditional_entropy, mutual_information,
-                           post_measurement_state, quantum_discord,
-                           xstate_concurrence,
+                           post_measurement_state, xstate_concurrence,
                            xstate_conditional_entropy_branches)
 from .couplings import (CouplingSet, EmitterGeometry, collective_decay,
                         coupling_strength, couplings, small_separation_limit)
@@ -40,15 +37,14 @@ __all__ = [
     "PropagationError", "ScanSpec", "Scenario", "ScenarioError", "StateReport",
     "SystemParams", "XStructureError", "ZeroProbabilityOutcomeError",
     "alpha_ket", "analytic_evolution", "bell_ket", "binary_entropy",
-    "build_bell_diagonal", "build_hamiltonian", "classical_correlations",
-    "collective_decay", "concurrence", "conditional_entropy",
-    "correlation_record", "correlation_records", "coupling_strength",
-    "couplings", "density_from_ket", "doubly_excited_state",
-    "entanglement_of_formation", "entropy_bound_check", "eof_from_concurrence",
+    "build_bell_diagonal", "build_hamiltonian", "collective_decay",
+    "concurrence", "conditional_entropy", "correlation_records",
+    "coupling_strength", "couplings", "density_from_ket",
+    "doubly_excited_state", "entanglement_of_formation", "eof_from_concurrence",
     "ground_state", "lindblad_rhs", "liouvillian", "load_geometry",
     "load_scenario", "minimize_conditional_entropy", "mutual_information",
     "parse_scenario", "partial_trace", "post_measurement_state", "propagate",
-    "quantum_discord", "run_scenario", "small_separation_limit",
-    "stationary_state", "validate_state", "von_neumann_entropy",
-    "xstate_concurrence", "xstate_conditional_entropy_branches",
+    "run_scenario", "small_separation_limit", "stationary_state",
+    "validate_state", "von_neumann_entropy", "xstate_concurrence",
+    "xstate_conditional_entropy_branches",
 ]

@@ -36,6 +36,8 @@ class MeasurementBasis:
     def __post_init__(self):
         if not -1e-12 <= self.theta_m <= np.pi / 2 + 1e-12:
             raise ValueError(f"theta_m must be in [0, pi/2], got {self.theta_m}")
+        if not np.isfinite(self.phi_m):
+            raise ValueError(f"phi_m must be finite, got {self.phi_m}")
 
     def vectors(self):
         ct, st = np.cos(self.theta_m), np.sin(self.theta_m)
@@ -239,9 +241,10 @@ def minimize_conditional_entropy(rho: np.ndarray):
     """Global minimum of the measured conditional entropy over bases on B.
 
     Coarse grid scan followed by a compass search with shrinking step
-    (terminates at angle step 1e-8). Returns (value, argmin MeasurementBasis).
+    (terminates at angle step 1e-8). Returns (value, argmin MeasurementBasis);
+    a non-finite entry raises NonPhysicalStateError.
     """
-    vals, ths, phs = _minimize_batch(np.asarray(rho, dtype=complex)[None, :, :])
+    vals, ths, phs = _minimize_batch(states._require_finite(rho)[None, :, :])
     return float(vals[0]), MeasurementBasis(float(ths[0]), float(phs[0]))
 
 
@@ -255,9 +258,10 @@ def concurrence(rho: np.ndarray):
     state, an array for a (..., 4, 4) stack.
 
     C = max(0, l1 - l2 - l3 - l4) with l_i the descending square roots of the
-    eigenvalues of rho (sy x sy) conj(rho) (sy x sy).
+    eigenvalues of rho (sy x sy) conj(rho) (sy x sy). A non-finite entry
+    raises NonPhysicalStateError.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = states._require_finite(rho)
     rho_tilde = _SYY @ rho.conj() @ _SYY
     ev = np.linalg.eigvals(rho @ rho_tilde)
     worst_imag = float(np.abs(ev.imag).max())
@@ -339,65 +343,35 @@ def xstate_concurrence(rho: np.ndarray):
 
 @dataclass(frozen=True)
 class CorrelationRecord:
-    """All correlation measures of one state at one time sample."""
+    """MI, CC, QD, concurrence and EoF, with the basis (theta_m, phi_m) on B
+    that attains CC: floats for one state, arrays over the leading axes for a
+    stack."""
 
-    t: float
-    mi: float
-    cc: float
-    qd: float
-    concurrence: float
-    eof: float
-    basis: MeasurementBasis
-
-
-def correlation_records(times, rhos) -> list:
-    """CorrelationRecord for every state of a stack, one or several
-    trajectories' samples, with the measurement search batched across them; a
-    state's record does not depend on its place in the stack. The one place
-    where MI, CC, QD and EoF are assembled: CC and QD share one argmax basis,
-    so MI = QD + CC holds as an identity up to float roundoff."""
-    rhos = np.asarray(rhos, dtype=complex)
-    times = np.asarray(times, dtype=float)
-    if rhos.ndim != 3 or rhos.shape[0] != times.size:
-        raise ValueError("need matching times (n,) and states (n, 4, 4)")
-
-    mi = mutual_information(rhos)
-    s_a = states.von_neumann_entropy(states.partial_trace(rhos, "A"))
-    s_b = states.von_neumann_entropy(states.partial_trace(rhos, "B"))
-    s_ab = states.von_neumann_entropy(rhos)
-    min_cond, ths, phs = _minimize_batch(rhos)
-    cc = np.maximum(s_a - min_cond, 0.0)
-    qd = s_b - s_ab + min_cond
-    cs = concurrence(rhos)
-    eof = eof_from_concurrence(cs)
-    return [CorrelationRecord(t=float(times[k]), mi=float(mi[k]), cc=float(cc[k]),
-                              qd=float(qd[k]), concurrence=float(cs[k]),
-                              eof=float(eof[k]),
-                              basis=MeasurementBasis(float(ths[k]), float(phs[k])))
-            for k in range(times.size)]
+    mi: float | np.ndarray
+    cc: float | np.ndarray
+    qd: float | np.ndarray
+    concurrence: float | np.ndarray
+    eof: float | np.ndarray
+    theta_m: float | np.ndarray
+    phi_m: float | np.ndarray
 
 
-def correlation_record(rho: np.ndarray, t: float = 0.0) -> CorrelationRecord:
-    """The record of one state at time t: a view of correlation_records."""
-    return correlation_records([t], np.asarray(rho, dtype=complex)[None])[0]
-
-
-def classical_correlations(rho: np.ndarray):
-    """Maximum extractable classical information and the achieving basis.
-
-    CC = max over projective bases of S(rho_A) - S(rho_A | measurement on B).
-    """
-    record = correlation_record(rho)
-    return record.cc, record.basis
-
-
-def quantum_discord(rho: np.ndarray) -> float:
-    """D = S(rho_B) - S(rho_AB) + min over bases of the conditional entropy."""
-    return correlation_record(rho).qd
-
-
-def entropy_bound_check(rho: np.ndarray) -> float:
-    """Signed entropy bound S(rho_B) + 2 min S(A|B) - S(rho_A) - S(rho_AB), that
-    is QD - CC: non-negative exactly when discord dominates."""
-    record = correlation_record(rho)
-    return record.qd - record.cc
+def correlation_records(rho: np.ndarray) -> CorrelationRecord:
+    """All correlation measures of one (4, 4) state or of a (..., 4, 4) stack,
+    with the measurement search batched across the stack; a state's values do
+    not depend on its place in the stack. The one place where MI, CC, QD and
+    EoF are assembled: CC and QD share one argmax basis, so MI = QD + CC holds
+    as an identity up to float roundoff."""
+    rho = np.asarray(rho, dtype=complex)
+    s_a = states.von_neumann_entropy(states.partial_trace(rho, "A"))
+    s_b = states.von_neumann_entropy(states.partial_trace(rho, "B"))
+    s_ab = states.von_neumann_entropy(rho)
+    lead = rho.shape[:-2]
+    min_cond, ths, phs = (a.reshape(lead) for a in _minimize_batch(rho.reshape(-1, 4, 4)))
+    cs = concurrence(rho)
+    fields = dict(mi=np.maximum(s_a + s_b - s_ab, 0.0),
+                  cc=np.maximum(s_a - min_cond, 0.0), qd=s_b - s_ab + min_cond,
+                  concurrence=cs, eof=eof_from_concurrence(cs),
+                  theta_m=ths, phi_m=phs)
+    return CorrelationRecord(**{name: states._float_or_array(value)
+                                for name, value in fields.items()})

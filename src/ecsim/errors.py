@@ -1,8 +1,9 @@
 """Exception types. ValueError subclasses signal bad input or invalid states
 (CLI exit code 1); RuntimeError subclasses signal numerical failure (exit code 2).
 One defect raises one type on every entry point, for one state or a stack: an
-eigenvalue below -1e-8, NonPhysicalStateError; a NaN or out-of-range argument of
-binary_entropy or eof_from_concurrence, or a non-finite SystemParams field,
+eigenvalue below -1e-8 or a NaN or infinite entry of a state,
+NonPhysicalStateError; a NaN or out-of-range argument of binary_entropy or
+eof_from_concurrence, a non-finite SystemParams field or MeasurementBasis angle,
 ValueError; a bad EmitterGeometry field, GeometryError; a bad scenario file,
 ScenarioError; a propagated sample off the physical manifold, PropagationError;
 a spin-flip spectrum that is not real, NumericsError."""

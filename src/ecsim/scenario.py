@@ -328,10 +328,9 @@ def run_scenario(scenario: Scenario) -> OutputTable:
     times = np.concatenate([run.times for run in runs])
     rhos = np.concatenate([run.states for run in runs])
     del runs  # keep one copy of the states through the search
-    records = correlation_records(times, rhos)
-    rows = tuple(prefix + (
-        _fmt(rec.t), _fmt(rec.mi), _fmt(rec.cc), _fmt(rec.qd),
-        _fmt(rec.concurrence), _fmt(rec.eof),
-        _fmt(rec.basis.theta_m), _fmt(rec.basis.phi_m))
-        for prefix, rec in zip(prefixes, records))
+    rec = correlation_records(rhos)
+    columns = (times, rec.mi, rec.cc, rec.qd, rec.concurrence, rec.eof,
+               rec.theta_m, rec.phi_m)
+    rows = tuple(prefix + tuple(map(_fmt, values))
+                 for prefix, *values in zip(prefixes, *(c.tolist() for c in columns)))
     return OutputTable(header=header, rows=rows)

@@ -138,13 +138,23 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
     raise ValueError(f"subsystem label must be 'A' or 'B', got {keep!r}")
 
 
+def _require_finite(rho: np.ndarray) -> np.ndarray:
+    """The (..., n, n) stack as complex; NonPhysicalStateError if any entry is
+    NaN or infinite, which no eigenvalue routine reports on its own."""
+    rho = np.asarray(rho, dtype=complex)
+    if not np.isfinite(rho).all():
+        raise NonPhysicalStateError("state has a non-finite entry: non-physical state")
+    return rho
+
+
 def clamped_spectrum(rho: np.ndarray) -> np.ndarray:
     """Eigenvalues of a (..., n, n) stack with roundoff negatives clamped to 0.
 
-    Eigenvalues in [-NEGATIVITY_TOL, 0) become 0; anything below raises
-    NonPhysicalStateError (that is a numerical failure, not roundoff).
+    Eigenvalues in [-NEGATIVITY_TOL, 0) become 0; anything below, or a
+    non-finite entry, raises NonPhysicalStateError (that is a numerical
+    failure, not roundoff).
     """
-    ev = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
+    ev = np.linalg.eigvalsh(_require_finite(rho))
     if ev.min() < -NEGATIVITY_TOL:
         raise NonPhysicalStateError(
             f"eigenvalue {ev.min():.3e} below -{NEGATIVITY_TOL:.0e}: non-physical state")

@@ -10,8 +10,8 @@ import numpy as np
 
 from . import states
 from .correlations import (MeasurementBasis, concurrence, conditional_entropy,
-                           correlation_record, correlation_records,
-                           eof_from_concurrence, mutual_information,
+                           correlation_records, eof_from_concurrence,
+                           mutual_information,
                            xstate_conditional_entropy_branches,
                            _cond_entropy_from_weights, _measurement_weights, _reorder)
 from .couplings import EmitterGeometry, collective_decay, coupling_strength
@@ -126,7 +126,7 @@ def check_bell_diagonal_counterexamples() -> CheckResult:
         ("Bell singlet h=(-1,-1,-1)", (-1.0, -1.0, -1.0), 2.0, 1.0, 1.0),
     )
     for label, hs, mi_exp, qd_exp, cc_exp in cases:
-        rec = correlation_record(build_bell_diagonal(*hs))
+        rec = correlation_records(build_bell_diagonal(*hs))
         mi, qd, cc = rec.mi, rec.qd, rec.cc
         res.add(f"I({label})", mi_exp, f"{mi:.6f}", tol, abs(mi - mi_exp) <= tol)
         res.add(f"D({label})", qd_exp, f"{qd:.6f}", tol, abs(qd - qd_exp) <= tol)
@@ -201,8 +201,8 @@ def check_correlation_hierarchy() -> CheckResult:
     suitable = np.array([np.isclose(state.alpha, 0.5)
                          and np.isclose(state.phi, (0.0, np.pi)).any()
                          for _, _, state, _ in cases])[owner]
-    cc, qd, eof = np.array([(rec.cc, rec.qd, rec.eof)
-                            for rec in correlation_records(times, all_states)]).T
+    rec = correlation_records(all_states)
+    cc, qd, eof = rec.cc, rec.qd, rec.eof
     s_a = states.von_neumann_entropy(states.partial_trace(all_states, "A"))
     s_b = states.von_neumann_entropy(states.partial_trace(all_states, "B"))
     s_ab = states.von_neumann_entropy(all_states)
@@ -315,7 +315,7 @@ def check_driven_stationarity() -> CheckResult:
     drift = float(np.abs(traj.states[-1] - rho_ss).max())
     res.add("trajectory endpoint vs fixed point", "< 1e-08", f"{drift:.2e}",
             1e-8, drift < 1e-8)
-    rec = correlation_record(rho_ss)
+    rec = correlation_records(rho_ss)
     # the stationary discord-classical split is genuinely tiny here (~1e-12);
     # it is evaluated on the exact fixed point, where the sign is resolvable
     res.add("stationary QD > CC", "QD - CC > 0",
@@ -347,7 +347,7 @@ def check_optimizer_soundness() -> CheckResult:
         rho = ginibre @ ginibre.conj().T
         rho = rho / rho.trace().real
 
-        rec = correlation_record(rho)
+        rec = correlation_records(rho)
         s_a = states.von_neumann_entropy(states.partial_trace(rho, "A"))
         vals = _cond_entropy_from_weights(_reorder(rho), weights)
         k = int(np.argmin(vals))

@@ -39,6 +39,16 @@ def test_cli_import_leaves_out_integrate_and_optimize():
     assert out.split("\n")[:2] == ["[]", "[]"]
 
 
+def test_public_names_resolve():
+    import ecsim
+
+    assert len(set(ecsim.__all__)) == len(ecsim.__all__)
+    assert [name for name in ecsim.__all__ if not hasattr(ecsim, name)] == []
+    namespace = {}
+    exec("from ecsim import *", namespace)
+    assert set(ecsim.__all__) <= set(namespace)
+
+
 def test_couplings_command(tmp_path, capsys):
     path = tmp_path / "geometry.cfg"
     path.write_text(GEOMETRY_FILE)

@@ -1,24 +1,26 @@
 """Correlation quantifiers: MI, CC, QD, concurrence, EoF, X-state closed forms."""
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecsim import (AlphaState, MeasurementBasis, NumericsError, SystemParams,
-                   XStructureError, ZeroProbabilityOutcomeError, alpha_ket,
-                   analytic_evolution, bell_ket, binary_entropy, build_bell_diagonal,
-                   classical_correlations, concurrence, conditional_entropy,
-                   correlation_record, correlation_records, density_from_ket,
-                   entanglement_of_formation, entropy_bound_check,
-                   eof_from_concurrence, ground_state,
+from ecsim import (AlphaState, MeasurementBasis, NonPhysicalStateError,
+                   NumericsError, SystemParams, XStructureError,
+                   ZeroProbabilityOutcomeError, alpha_ket, analytic_evolution,
+                   bell_ket, binary_entropy, build_bell_diagonal, concurrence,
+                   conditional_entropy, correlation_records, density_from_ket,
+                   entanglement_of_formation, eof_from_concurrence, ground_state,
                    minimize_conditional_entropy, mutual_information,
                    partial_trace, post_measurement_state, propagate,
-                   quantum_discord, von_neumann_entropy, xstate_concurrence,
+                   von_neumann_entropy, xstate_concurrence,
                    xstate_conditional_entropy_branches)
 from ecsim.correlations import (GRID_SHAPE, _cond_entropy_values, _grid_seed,
                                 _minimize_batch, _reorder)
 from helpers import (oracle_min_conditional_entropy, random_density_matrix,
-                     random_pure_ket)
+                     random_pure_ket, random_unitary)
 
 # frozen oracle values for the Bell-diagonal counterexample states
 I_RHO_M = 1.078071905112638
@@ -60,6 +62,9 @@ def test_measurement_basis_orthonormal(rng):
         assert abs(ket_a.conj() @ ket_b) < 1e-12
         proj_a, proj_b = basis.projectors()
         assert np.abs(proj_a + proj_b - np.eye(2)).max() < 1e-12
+    for theta, phi in ((-0.1, 0.0), (np.nan, 0.0), (0.3, np.nan), (0.3, np.inf)):
+        with pytest.raises(ValueError):
+            MeasurementBasis(theta, phi)
 
 
 def test_post_measurement_bell_computational():
@@ -128,51 +133,50 @@ def test_conditional_entropy_matches_definition(rng):
 # ------------------------------------------- classical correlations / QD
 
 def test_classical_correlations_bell():
-    cc, _ = classical_correlations(BELL)
-    assert cc == pytest.approx(1.0, abs=1e-7)
+    assert correlation_records(BELL).cc == pytest.approx(1.0, abs=1e-7)
 
 
 def test_classical_correlations_bell_diagonal_states():
-    cc_incoh, _ = classical_correlations(RHO_INCOH)
+    cc_incoh = correlation_records(RHO_INCOH).cc
     assert cc_incoh == pytest.approx(I_INCOH, abs=1e-6)
-    cc_m, _ = classical_correlations(RHO_M)
+    cc_m = correlation_records(RHO_M).cc
     assert cc_m == pytest.approx(CC_RHO_M, abs=1e-6)
     assert cc_m == pytest.approx(0.531, abs=2e-3)
 
 
 def test_quantum_discord_reference_states():
-    assert quantum_discord(BELL) == pytest.approx(1.0, abs=1e-7)
-    assert quantum_discord(RHO_M) == pytest.approx(D_RHO_M, abs=1e-6)
-    assert quantum_discord(RHO_M) == pytest.approx(0.547, abs=2e-3)
-    assert quantum_discord(RHO_INCOH) == pytest.approx(0.0, abs=1e-7)
+    qd = correlation_records(np.stack([BELL, RHO_M, RHO_INCOH])).qd
+    assert qd[0] == pytest.approx(1.0, abs=1e-7)
+    assert qd[1] == pytest.approx(D_RHO_M, abs=1e-6)
+    assert qd[1] == pytest.approx(0.547, abs=2e-3)
+    assert qd[2] == pytest.approx(0.0, abs=1e-7)
 
 
 def test_quantum_discord_pure_states(rng):
     # for pure states the discord equals the measured subsystem's entropy
-    for _ in range(10):
-        rho = density_from_ket(random_pure_ket(rng))
-        s_b = von_neumann_entropy(partial_trace(rho, "B"))
-        assert quantum_discord(rho) == pytest.approx(s_b, abs=1e-6)
+    rhos = np.stack([density_from_ket(random_pure_ket(rng)) for _ in range(10)])
+    s_b = von_neumann_entropy(partial_trace(rhos, "B"))
+    assert np.abs(correlation_records(rhos).qd - s_b).max() <= 1e-6
 
 
 def test_quantum_discord_zero_for_classical_on_b(rng):
+    rhos = []
     for _ in range(5):
         q = rng.uniform(0.1, 0.9)
-        rho = (q * np.kron(random_density_matrix(rng, 2), np.diag([1.0, 0.0]))
-               + (1 - q) * np.kron(random_density_matrix(rng, 2), np.diag([0.0, 1.0])))
-        assert quantum_discord(rho) <= 1e-6
+        rhos.append(q * np.kron(random_density_matrix(rng, 2), np.diag([1.0, 0.0]))
+                    + (1 - q) * np.kron(random_density_matrix(rng, 2), np.diag([0.0, 1.0])))
+    assert (correlation_records(np.stack(rhos)).qd <= 1e-6).all()
 
 
 def test_discord_bounds_and_additivity(rng):
     states = np.stack([random_density_matrix(rng) for _ in range(1000)])
-    records = correlation_records(np.zeros(len(states)), states)
-    for rho, rec in zip(states, records):
-        assert rec.mi >= 0.0
-        assert rec.cc >= 0.0
-        assert rec.qd >= -1e-7
-        assert rec.qd <= von_neumann_entropy(partial_trace(rho, "B")) + 1e-7
-        assert abs(rec.mi - (rec.qd + rec.cc)) <= 1e-6
-        assert rec.eof == eof_from_concurrence(rec.concurrence)
+    rec = correlation_records(states)
+    assert (rec.mi >= 0.0).all()
+    assert (rec.cc >= 0.0).all()
+    assert (rec.qd >= -1e-7).all()
+    assert (rec.qd <= von_neumann_entropy(partial_trace(states, "B")) + 1e-7).all()
+    assert np.abs(rec.mi - (rec.qd + rec.cc)).max() <= 1e-6
+    assert (rec.eof == eof_from_concurrence(rec.concurrence)).all()
 
 
 def test_optimizer_against_independent_oracle(rng):
@@ -410,21 +414,24 @@ def test_xstate_concurrence_matches_general(rng):
 
 # ------------------------------------------------------- entropy bound
 
+# the entropy bound S(rho_B) + 2 min S(A|B) - S(rho_A) - S(rho_AB) is QD - CC
+
 def test_entropy_bound_product_state(rng):
-    assert abs(entropy_bound_check(random_product_state(rng))) <= 1e-7
+    rec = correlation_records(random_product_state(rng))
+    assert abs(rec.qd - rec.cc) <= 1e-7
 
 
 def test_entropy_bound_bell_diagonal():
-    assert entropy_bound_check(RHO_M) == pytest.approx(D_RHO_M - CC_RHO_M, abs=1e-6)
-    assert entropy_bound_check(RHO_M) == pytest.approx(0.016, abs=1e-3)
+    rec = correlation_records(RHO_M)
+    assert rec.qd - rec.cc == pytest.approx(D_RHO_M - CC_RHO_M, abs=1e-6)
+    assert rec.qd - rec.cc == pytest.approx(0.016, abs=1e-3)
 
 
 def test_entropy_bound_nonnegative_on_symmetric_trajectory():
     params = SystemParams(V=2.03, gamma=0.91)
-    state = AlphaState(0.5, 0.0)
-    for t in np.linspace(0.0, 6.0, 25):
-        rho = analytic_evolution(state, params, float(t))
-        assert entropy_bound_check(rho) >= -1e-7
+    rec = correlation_records(analytic_evolution(AlphaState(0.5, 0.0), params,
+                                                 np.linspace(0.0, 6.0, 25)))
+    assert (rec.qd - rec.cc >= -1e-7).all()
 
 
 def test_hierarchy_on_alpha_family_demonstrated_region():
@@ -432,16 +439,16 @@ def test_hierarchy_on_alpha_family_demonstrated_region():
     # real relative phases and alpha <= 1/2, where discord dominance holds at
     # every sample of the criterion-4 grid; alpha = 0.60, phi = pi already
     # fails (see the test below)
-    for v, gamma in ((2.0, 0.0), (2.03, 0.91)):
-        params = SystemParams(V=v, gamma=gamma)
-        for alpha in (0.0, 0.25, 0.5):
-            for phi in (0.0, np.pi):
-                times = np.linspace(0.0, 10.0, 30)
-                rhos = analytic_evolution(AlphaState(alpha, phi), params, times)
-                for rec in correlation_records(times, rhos):
-                    assert rec.cc <= rec.qd + 1e-6
-                    if rec.eof > 0.01:
-                        assert rec.cc <= rec.eof + 1e-6
+    times = np.linspace(0.0, 10.0, 30)
+    rhos = np.stack([analytic_evolution(AlphaState(alpha, phi),
+                                        SystemParams(V=v, gamma=gamma), times)
+                     for v, gamma in ((2.0, 0.0), (2.03, 0.91))
+                     for alpha in (0.0, 0.25, 0.5) for phi in (0.0, np.pi)])
+    rec = correlation_records(rhos)
+    assert rec.cc.shape == (12, 30)
+    assert (rec.cc <= rec.qd + 1e-6).all()
+    visible = rec.eof > 0.01
+    assert (rec.cc[visible] <= rec.eof[visible] + 1e-6).all()
 
 
 def _closed_form_bound(rho):
@@ -452,6 +459,12 @@ def _closed_form_bound(rho):
             - von_neumann_entropy(rho))
 
 
+# (alpha, phi, V, gamma, t, margin) where CC exceeds QD by more than margin
+OFF_DOMINANCE_CASES = ((0.95, 0.0, 2.0, 0.0, 0.10050251256281408, 0.05),
+                       (0.55, np.pi / 2, 2.03, 0.91, 0.2512562814070352, 0.03),
+                       (0.60, np.pi, 2.0, 0.91, 0.05025125628140704, 5e-4))
+
+
 def test_hierarchy_fails_outside_demonstrated_region():
     # discord dominance does NOT extend to the whole alpha family: classical
     # correlations exceed the discord at early times for near-separable
@@ -459,23 +472,57 @@ def test_hierarchy_fails_outside_demonstrated_region():
     # for real phases close to the Bell preparations (alpha = 0.60, phi = pi,
     # CC - QD = +5.5e-4); the closed two-branch form gives the same bound, so
     # the sign is the model's, not the search's
-    cases = ((0.95, 0.0, 2.0, 0.0, 0.10050251256281408, 0.05),
-             (0.55, np.pi / 2, 2.03, 0.91, 0.2512562814070352, 0.03),
-             (0.60, np.pi, 2.0, 0.91, 0.05025125628140704, 5e-4))
-    for alpha, phi, v, gamma, t, margin in cases:
+    for alpha, phi, v, gamma, t, margin in OFF_DOMINANCE_CASES:
         rho = analytic_evolution(AlphaState(alpha, phi),
                                  SystemParams(V=v, gamma=gamma), t)
-        bound = entropy_bound_check(rho)
-        assert bound < -margin
-        assert bound == pytest.approx(_closed_form_bound(rho), abs=1e-9)
-        cc, _ = classical_correlations(rho)
-        assert cc > quantum_discord(rho) + margin
+        rec = correlation_records(rho)
+        assert rec.qd - rec.cc < -margin
+        assert rec.qd - rec.cc == pytest.approx(_closed_form_bound(rho), abs=1e-9)
+
+
+def _mp_binary_entropy(x):
+    return -sum(p * mpmath.log(p, 2) for p in (x, 1 - x) if p > 0)
+
+
+def _mp_closed_form_bound(alpha, phi, v, gamma, t):
+    """S_B + 2 min(s1, s2) - S_A - S_AB of analytic_evolution's state, in
+    mpmath at the current precision, with Gamma = 1 and no laser."""
+    alpha, phi, v, gamma, t = map(mpmath.mpf, (alpha, phi, v, gamma, t))
+    f = mpmath.sqrt(alpha * (1 - alpha))
+    cos_vt, sin_vt = mpmath.cos(2 * v * t), mpmath.sin(2 * v * t)
+    plus = mpmath.exp(-gamma * t) * (mpmath.mpf(1) / 2 + f * mpmath.cos(phi))
+    minus = mpmath.exp(gamma * t) * (mpmath.mpf(1) / 2 - f * mpmath.cos(phi))
+    osc_pop = (1 - 2 * alpha) * cos_vt - 2 * f * mpmath.sin(phi) * sin_vt
+    osc_coh = 2 * f * mpmath.sin(phi) * cos_vt + (1 - 2 * alpha) * sin_vt
+    decay = mpmath.exp(-t)
+    p01 = decay * (plus + minus - osc_pop) / 2             # rho[1, 1]
+    p10 = decay * (plus + minus + osc_pop) / 2             # rho[2, 2]
+    p00 = 1 - p01 - p10
+    coh = decay * mpmath.mpc(plus - minus, -osc_coh) / 2   # rho[1, 2]
+    # spectrum of diag(p00) + [[p01, coh], [conj(coh), p10]]
+    mean, half = (p01 + p10) / 2, mpmath.sqrt(((p01 - p10) / 2) ** 2 + abs(coh) ** 2)
+    s_ab = -sum(lam * mpmath.log(lam, 2) for lam in (p00, mean + half, mean - half)
+                if lam > 0)
+    s1 = (p00 + p10) * _mp_binary_entropy(p00 / (p00 + p10))
+    xi = min(mpmath.sqrt((1 - 2 * p10) ** 2 + 4 * abs(coh) ** 2), 1)
+    s2 = _mp_binary_entropy((1 + xi) / 2)
+    return _mp_binary_entropy(p01) + 2 * min(s1, s2) - _mp_binary_entropy(p10) - s_ab
+
+
+@pytest.mark.parametrize("alpha, phi, v, gamma, t, margin", OFF_DOMINANCE_CASES)
+def test_off_dominance_bound_at_60_digits(alpha, phi, v, gamma, t, margin):
+    with mpmath.workdps(60):
+        exact = _mp_closed_form_bound(alpha, phi, v, gamma, t)
+    assert exact < -margin
+    rec = correlation_records(analytic_evolution(AlphaState(alpha, phi),
+                                                 SystemParams(V=v, gamma=gamma), t))
+    assert abs(rec.qd - rec.cc - float(exact)) <= 1e-9
 
 
 # ------------------------------------------------------ record bundling
 
 def test_correlation_record_bell():
-    rec = correlation_record(BELL, t=0.0)
+    rec = correlation_records(BELL)
     assert rec.mi == pytest.approx(2.0, abs=1e-7)
     assert rec.cc == pytest.approx(1.0, abs=1e-7)
     assert rec.qd == pytest.approx(1.0, abs=1e-7)
@@ -484,13 +531,13 @@ def test_correlation_record_bell():
 
 
 def test_correlation_record_ground_state():
-    rec = correlation_record(ground_state())
+    rec = correlation_records(ground_state())
     for value in (rec.mi, rec.cc, rec.qd, rec.concurrence, rec.eof):
         assert abs(value) <= 1e-9
 
 
 def test_correlation_record_bell_diagonal():
-    rec = correlation_record(RHO_M)
+    rec = correlation_records(RHO_M)
     assert rec.mi == pytest.approx(I_RHO_M, abs=1e-6)
     assert rec.cc == pytest.approx(CC_RHO_M, abs=1e-6)
     assert rec.qd == pytest.approx(D_RHO_M, abs=1e-6)
@@ -525,12 +572,41 @@ def test_stacked_measures_equal_per_state_measures(rng):
 
 
 def test_correlation_records_match_single_state_path(rng):
-    states = np.stack([random_density_matrix(rng) for _ in range(6)])
-    times = np.arange(6.0)
-    records = correlation_records(times, states)
-    for rho, rec in zip(states, records):
-        single = correlation_record(rho, rec.t)
-        assert rec.mi == pytest.approx(single.mi, abs=1e-12)
-        assert rec.cc == pytest.approx(single.cc, abs=1e-12)
-        assert rec.qd == pytest.approx(single.qd, abs=1e-12)
-        assert rec.concurrence == pytest.approx(single.concurrence, abs=1e-12)
+    # a (2, 3) stack gives, field by field, the floats of each state on its own
+    states = np.stack([random_density_matrix(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+    stacked = vars(correlation_records(states))
+    assert set(stacked) == {"mi", "cc", "qd", "concurrence", "eof", "theta_m", "phi_m"}
+    for index in np.ndindex(2, 3):
+        single = vars(correlation_records(states[index]))
+        for name, values in stacked.items():
+            assert values.shape == (2, 3)
+            assert type(single[name]) is float
+            assert single[name] == pytest.approx(values[index], abs=1e-12)
+
+
+# ------------------------------------------------------ properties
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["ginibre", "mixed-pure"]))
+def test_measures_obey_identities_and_local_invariance(seed, kind):
+    # MI = QD + CC and 0 <= CC <= min(S_A, S_B); MI, C and EoF are invariant
+    # under U_A x U_B, and QD and CC under U_A x I (the measured qubit is B)
+    rng = np.random.default_rng(seed)
+    rhos = np.stack([density_from_ket(random_pure_ket(rng))
+                     if kind == "mixed-pure" and k % 2 else random_density_matrix(rng)
+                     for k in range(12)])
+    u_a = np.stack([np.kron(random_unitary(rng, 2), np.eye(2)) for _ in rhos])
+    u_b = np.stack([np.kron(np.eye(2), random_unitary(rng, 2)) for _ in rhos])
+    both = u_a @ u_b
+    rec = correlation_records(np.stack([
+        rhos, both @ rhos @ both.conj().swapaxes(-1, -2),
+        u_a @ rhos @ u_a.conj().swapaxes(-1, -2)]))
+    tol = 1e-9
+    assert np.abs(rec.mi[0] - (rec.qd[0] + rec.cc[0])).max() <= tol
+    bound = np.minimum(von_neumann_entropy(partial_trace(rhos, "A")),
+                       von_neumann_entropy(partial_trace(rhos, "B")))
+    assert (rec.cc[0] >= 0.0).all() and (rec.cc[0] <= bound + tol).all()
+    for values in (rec.mi, rec.concurrence, rec.eof):
+        assert np.abs(values[1] - values[0]).max() <= tol
+    for values in (rec.qd, rec.cc):
+        assert np.abs(values[2] - values[0]).max() <= tol

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from ecsim import (NonPhysicalStateError, alpha_ket, bell_ket, binary_entropy,
-                   build_bell_diagonal, correlation_record, correlation_records,
-                   density_from_ket, ground_state, partial_trace, validate_state,
+                   build_bell_diagonal, concurrence, correlation_records,
+                   density_from_ket, ground_state, minimize_conditional_entropy,
+                   mutual_information, partial_trace, validate_state,
                    von_neumann_entropy)
 from helpers import random_density_matrix, random_pure_ket, random_unitary
 
@@ -96,10 +97,23 @@ def test_entropy_rejects_negative_eigenvalue(rng):
     slightly = np.diag([0.5 + 1e-6, 0.5, -1e-6, 0.0]).astype(complex)
     stack = np.stack([random_density_matrix(rng), slightly, random_density_matrix(rng)])
     for call in (lambda: von_neumann_entropy(slightly), lambda: von_neumann_entropy(stack),
-                 lambda: correlation_record(slightly),
-                 lambda: correlation_records(np.arange(3.0), stack)):
+                 lambda: correlation_records(slightly), lambda: correlation_records(stack)):
         with pytest.raises(NonPhysicalStateError):
             call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_non_finite_state_is_non_physical(rng, bad):
+    # eigensolvers return finite garbage or a LinAlgError for such an entry
+    rho = random_density_matrix(rng)
+    rho[1, 2] = bad
+    stack = np.stack([random_density_matrix(rng), rho])
+    for fn in (von_neumann_entropy, mutual_information, concurrence, correlation_records):
+        for arg in (rho, stack):
+            with pytest.raises(NonPhysicalStateError, match="non-finite"):
+                fn(arg)
+    with pytest.raises(NonPhysicalStateError, match="non-finite"):
+        minimize_conditional_entropy(rho)
 
 
 def test_entropy_clamps_roundoff_negativity():
