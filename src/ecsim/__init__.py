@@ -6,12 +6,10 @@ quantum (discord, concurrence, entanglement of formation) correlations along
 dissipative trajectories, with closed-form cross-checks for the
 single-excitation family and a scenario-driven CLI.
 """
-from .correlations import (CorrelationRecord, MeasurementBasis, concurrence,
-                           conditional_entropy, correlation_records,
-                           entanglement_of_formation, eof_from_concurrence,
-                           minimize_conditional_entropy, mutual_information,
-                           post_measurement_state, xstate_concurrence,
-                           xstate_conditional_entropy_branches)
+from .correlations import (CorrelationRecord, concurrence, conditional_entropy,
+                           correlation_records, entanglement_of_formation,
+                           eof_from_concurrence, mutual_information,
+                           xstate_concurrence, xstate_conditional_entropy_branches)
 from .couplings import (CouplingSet, EmitterGeometry, collective_decay,
                         coupling_strength, couplings, small_separation_limit)
 from .dynamics import (AlphaState, EvolutionResult, SystemParams,
@@ -20,8 +18,7 @@ from .dynamics import (AlphaState, EvolutionResult, SystemParams,
                        stationary_state)
 from .errors import (AnalyticFormError, EmitterSimError, GeometryError,
                      NonPhysicalStateError, NumericsError, PropagationError,
-                     ScenarioError, XStructureError,
-                     ZeroProbabilityOutcomeError)
+                     ScenarioError, XStructureError)
 from .scenario import (OutputTable, ScanSpec, Scenario, load_geometry,
                        load_scenario, parse_scenario, run_scenario)
 from .states import (StateReport, alpha_ket, bell_ket, binary_entropy,
@@ -33,18 +30,16 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphaState", "AnalyticFormError", "CorrelationRecord", "CouplingSet",
     "EmitterGeometry", "EmitterSimError", "EvolutionResult", "GeometryError",
-    "MeasurementBasis", "NonPhysicalStateError", "NumericsError", "OutputTable",
-    "PropagationError", "ScanSpec", "Scenario", "ScenarioError", "StateReport",
-    "SystemParams", "XStructureError", "ZeroProbabilityOutcomeError",
-    "alpha_ket", "analytic_evolution", "bell_ket", "binary_entropy",
-    "build_bell_diagonal", "build_hamiltonian", "collective_decay",
-    "concurrence", "conditional_entropy", "correlation_records",
-    "coupling_strength", "couplings", "density_from_ket",
+    "NonPhysicalStateError", "NumericsError", "OutputTable", "PropagationError",
+    "ScanSpec", "Scenario", "ScenarioError", "StateReport", "SystemParams",
+    "XStructureError", "alpha_ket", "analytic_evolution", "bell_ket",
+    "binary_entropy", "build_bell_diagonal", "build_hamiltonian",
+    "collective_decay", "concurrence", "conditional_entropy",
+    "correlation_records", "coupling_strength", "couplings", "density_from_ket",
     "doubly_excited_state", "entanglement_of_formation", "eof_from_concurrence",
     "ground_state", "lindblad_rhs", "liouvillian", "load_geometry",
-    "load_scenario", "minimize_conditional_entropy", "mutual_information",
-    "parse_scenario", "partial_trace", "post_measurement_state", "propagate",
-    "run_scenario", "small_separation_limit", "stationary_state",
+    "load_scenario", "mutual_information", "parse_scenario", "partial_trace",
+    "propagate", "run_scenario", "small_separation_limit", "stationary_state",
     "validate_state", "von_neumann_entropy", "xstate_concurrence",
     "xstate_conditional_entropy_branches",
 ]

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import states
-from .errors import NumericsError, XStructureError, ZeroProbabilityOutcomeError
+from .errors import NumericsError, XStructureError
 
 _LN2 = np.log(2.0)
 _ZERO_PROB = 1e-14
@@ -18,37 +18,11 @@ _ZERO_PROB = 1e-14
 GRID_SHAPE = (64, 64)
 STEP_TOL = 1e-8
 
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SYY = np.kron(_SY, _SY)
-
-
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """Projective measurement {|a>, |b>} on qubit B.
-
-    |a> = cos(theta_m)|0> + e^{i phi_m} sin(theta_m)|1>,
-    |b> = e^{-i phi_m} sin(theta_m)|0> - cos(theta_m)|1>.
-    """
-
-    theta_m: float
-    phi_m: float
-
-    def __post_init__(self):
-        if not -1e-12 <= self.theta_m <= np.pi / 2 + 1e-12:
-            raise ValueError(f"theta_m must be in [0, pi/2], got {self.theta_m}")
-        if not np.isfinite(self.phi_m):
-            raise ValueError(f"phi_m must be finite, got {self.phi_m}")
-
-    def vectors(self):
-        ct, st = np.cos(self.theta_m), np.sin(self.theta_m)
-        ep = np.exp(1j * self.phi_m)
-        ket_a = np.array([ct, ep * st], dtype=complex)
-        ket_b = np.array([np.conj(ep) * st, -ct], dtype=complex)
-        return ket_a, ket_b
-
-    def projectors(self):
-        ket_a, ket_b = self.vectors()
-        return np.outer(ket_a, ket_a.conj()), np.outer(ket_b, ket_b.conj())
+# sigma_mu (x) sigma_nu for mu, nu = 0..3 with sigma_0 = I, as [mu, nu, row, col]
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+_PAULI_PRODUCTS = np.einsum("mac,nbd->mnabcd", _PAULI, _PAULI).reshape(4, 4, 4, 4)
+_SYY = _PAULI_PRODUCTS[2, 2]
 
 
 def mutual_information(rho: np.ndarray):
@@ -60,41 +34,54 @@ def mutual_information(rho: np.ndarray):
     return states._float_or_array(np.maximum(value, 0.0))
 
 
-def post_measurement_state(rho: np.ndarray, basis: MeasurementBasis, outcome: str):
-    """Conditional state of A and the outcome probability after measuring B.
+def conditional_entropy(rho: np.ndarray, theta_m, phi_m):
+    """Measured conditional entropy sum_k p_k S(rho_A | k), in bits, of one
+    (4, 4) state for the measurement of B on cos(theta_m)|0> + e^{i phi_m}
+    sin(theta_m)|1> and its complement: a float for scalar angles, which
+    broadcast against each other otherwise.
 
-    outcome is 'a' or 'b'; a probability below 1e-14 leaves the conditional
-    state undefined and raises ZeroProbabilityOutcomeError.
+    The real Bloch (Fano) form, which shares no arithmetic with the search it
+    checks (Luo, PRA 77, 042303 (2008)): with R[mu, nu] = tr(rho sigma_mu (x)
+    sigma_nu), a = R[1:, 0], b = R[0, 1:] and T = R[1:, 1:], outcome +-n,
+    n = (sin 2theta cos phi, sin 2theta sin phi, cos 2theta), has
+    p = (1 +- b.n)/2 and leaves A with the Bloch vector (a +- T n)/(2p); an
+    outcome with p <= 1e-14 contributes 0. theta_m outside [0, pi/2] or a
+    non-finite phi_m raises ValueError, a non-finite rho NonPhysicalStateError.
     """
-    ket_a, ket_b = basis.vectors()
-    if outcome == "a":
-        v = ket_a
-    elif outcome == "b":
-        v = ket_b
-    else:
-        raise ValueError(f"outcome must be 'a' or 'b', got {outcome!r}")
-    tensor = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    cond = np.einsum("b,abcd,d->ac", v.conj(), tensor, v)
-    prob = float(np.real(np.trace(cond)))
-    if prob <= _ZERO_PROB:
-        raise ZeroProbabilityOutcomeError(
-            f"outcome {outcome!r} has probability {prob:.2e}; conditional state undefined")
-    return cond / prob, prob
-
-
-def conditional_entropy(rho: np.ndarray, basis: MeasurementBasis) -> float:
-    """Measured conditional entropy sum_j p_j S(rho_A | outcome j), in bits.
-
-    Zero-probability branches contribute zero (p S -> 0 limit).
-    """
+    fano = np.einsum("mnij,ji->mn", _PAULI_PRODUCTS, states._require_finite(rho)).real
+    theta_m, phi_m = np.asarray(theta_m, dtype=float), np.asarray(phi_m, dtype=float)
+    bad = ~((theta_m >= -1e-12) & (theta_m <= np.pi / 2 + 1e-12))
+    if bad.any():
+        raise ValueError(f"theta_m must be in [0, pi/2], got {theta_m[bad].flat[0]}")
+    if not np.isfinite(phi_m).all():
+        raise ValueError(f"phi_m must be finite, got {phi_m[~np.isfinite(phi_m)].flat[0]}")
+    a, b, t = fano[1:, 0], fano[0, 1:], fano[1:, 1:]
+    # 4p^2 - |a +- T n|^2 = 1 - |a|^2 +- 2 c.n + n'Q n, with c = b - T'a and
+    # Q = b b' - T'T, keeps a pure conditional state exact. The forms in n are
+    # built from the theta and phi factors apart, so that an outer grid of
+    # angles costs a few full-size passes
+    sin2, cos2 = np.sin(2.0 * theta_m), np.cos(2.0 * theta_m)
+    cos_phi, sin_phi = np.cos(phi_m), np.sin(phi_m)
+    c, q = b - t.T @ a, np.outer(b, b) - t.T @ t
+    b_n, c_n = (sin2 * (v[0] * cos_phi + v[1] * sin_phi) + v[2] * cos2 for v in (b, c))
+    q_n = (sin2 * sin2 * (q[0, 0] * cos_phi * cos_phi + q[1, 1] * sin_phi * sin_phi
+                          + 2.0 * q[0, 1] * cos_phi * sin_phi)
+           + 2.0 * sin2 * cos2 * (q[0, 2] * cos_phi + q[1, 2] * sin_phi)
+           + q[2, 2] * cos2 * cos2)
     total = 0.0
-    for outcome in ("a", "b"):
-        try:
-            cond, prob = post_measurement_state(rho, basis, outcome)
-        except ZeroProbabilityOutcomeError:
-            continue
-        total += prob * states.von_neumann_entropy(cond)
-    return total
+    for sign in (1.0, -1.0):
+        prob = 0.5 * (1.0 + sign * b_n)
+        live = prob > _ZERO_PROB
+        det = np.maximum(1.0 - a @ a + 2.0 * sign * c_n + q_n, 0.0)
+        length = np.sqrt(np.maximum(4.0 * prob * prob - det, 0.0))  # |a +- T n|
+        # (1 - |r|)/2, the smaller eigenvalue of A's conditional state
+        lower = np.clip(det / np.where(live, 4.0 * prob * (2.0 * prob + length), 1.0),
+                        0.0, 0.5)
+        # x log x with 0 log 0 = 0: the floor only keeps the log finite
+        entropy = -((1.0 - lower) * np.log1p(-lower)
+                    + lower * np.log(np.maximum(lower, 1e-300)))
+        total = total + np.where(live, prob * entropy, 0.0)
+    return states._float_or_array(total / _LN2)
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +224,6 @@ def _minimize_batch(rhos: np.ndarray):
     return best, best_th, best_ph
 
 
-def minimize_conditional_entropy(rho: np.ndarray):
-    """Global minimum of the measured conditional entropy over bases on B.
-
-    Coarse grid scan followed by a compass search with shrinking step
-    (terminates at angle step 1e-8). Returns (value, argmin MeasurementBasis);
-    a non-finite entry raises NonPhysicalStateError.
-    """
-    vals, ths, phs = _minimize_batch(states._require_finite(rho)[None, :, :])
-    return float(vals[0]), MeasurementBasis(float(ths[0]), float(phs[0]))
-
-
 # eigenvalues of rho rho~ below this are exact zeros of a rank-deficient
 # product (or solver noise); taking their square roots would bias C by ~1e-8
 _SPECTRUM_FLOOR = 1e-12
@@ -264,7 +240,7 @@ def concurrence(rho: np.ndarray):
     rho = states._require_finite(rho)
     rho_tilde = _SYY @ rho.conj() @ _SYY
     ev = np.linalg.eigvals(rho @ rho_tilde)
-    worst_imag = float(np.abs(ev.imag).max())
+    worst_imag = float(np.abs(ev.imag).max(initial=0.0))
     if worst_imag > 1e-6:
         raise NumericsError(
             f"spin-flip spectrum has imaginary part {worst_imag:.2e}")

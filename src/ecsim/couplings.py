@@ -75,6 +75,20 @@ class EmitterGeometry:
                                r12_over_lambda0, self.n, self.Gamma1, self.Gamma2)
 
 
+def _finite(geometry: EmitterGeometry, name: str, value):
+    """value, or GeometryError naming the separation if it is not finite. The
+    rate functions run under np.errstate, so numpy does not warn first."""
+    if not np.isfinite(value):
+        raise GeometryError(f"separation r12/lambda0 = {geometry.r12_over_lambda0} "
+                            f"is out of range: {name} = {value} is not finite")
+    return value
+
+
+# z is a numpy float in the rate functions: its powers overflow to inf (and
+# then fail _finite) where a Python float raises
+_QUIET = np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
+
 @dataclass(frozen=True)
 class CouplingSet:
     """Coherent coupling V and collective decay gamma, units of Gamma."""
@@ -83,6 +97,7 @@ class CouplingSet:
     gamma: float
 
 
+@_QUIET
 def coupling_strength(geometry: EmitterGeometry) -> float:
     """Coherent dipole-dipole coupling V(r12).
 
@@ -91,17 +106,19 @@ def coupling_strength(geometry: EmitterGeometry) -> float:
 
     with a = mu1.mu2 and b = (mu1.r)(mu2.r). The 3/4 prefactor is fixed by the
     short-distance limit together with the collective-rate normalisation; see
-    collective_decay. Diverges as 1/z^3 for z -> 0.
+    collective_decay. Diverges as 1/z^3 for z -> 0; a separation at which z
+    or V is not finite raises GeometryError.
     """
-    z = geometry.z
+    z = _finite(geometry, "z", np.float64(geometry.z))
     if z <= 0.0:
         raise GeometryError("singular separation: V diverges as 1/z^3 at z = 0")
     a, b = geometry.orientation_factors()
     amp = 0.75 * np.sqrt(geometry.Gamma1 * geometry.Gamma2)
-    return float(amp * (-(a - b) * np.cos(z) / z
-                        + (a - 3.0 * b) * (np.sin(z) / z**2 + np.cos(z) / z**3)))
+    return float(_finite(geometry, "V", amp * (
+        -(a - b) * np.cos(z) / z + (a - 3.0 * b) * (np.sin(z) / z**2 + np.cos(z) / z**3))))
 
 
+@_QUIET
 def collective_decay(geometry: EmitterGeometry) -> float:
     """Collective decay rate gamma(r12), regular at z -> 0.
 
@@ -109,9 +126,10 @@ def collective_decay(geometry: EmitterGeometry) -> float:
                                         + [a - 3b] (cos z / z^2 - sin z / z^3) )
 
     The 3/2 prefactor makes gamma -> sqrt(Gamma1 Gamma2) mu1.mu2 for z -> 0 and
-    keeps |gamma| <= sqrt(Gamma1 Gamma2) at all separations.
+    keeps |gamma| <= sqrt(Gamma1 Gamma2) at all separations. A separation at
+    which z or gamma is not finite raises GeometryError.
     """
-    z = geometry.z
+    z = _finite(geometry, "z", np.float64(geometry.z))
     a, b = geometry.orientation_factors()
     amp = 1.5 * np.sqrt(geometry.Gamma1 * geometry.Gamma2)
     if z < SERIES_CUTOFF_Z:
@@ -120,13 +138,15 @@ def collective_decay(geometry: EmitterGeometry) -> float:
         osc = -1.0 / 3.0 + z2 * (1.0 / 30.0 + z2 * (-1.0 / 840.0 + z2 / 45360.0))
     else:
         osc = np.cos(z) / z**2 - np.sin(z) / z**3
-    gamma = float(amp * ((a - b) * np.sinc(z / np.pi) + (a - 3.0 * b) * osc))
+    gamma = float(_finite(geometry, "gamma",
+                          amp * ((a - b) * np.sinc(z / np.pi) + (a - 3.0 * b) * osc)))
     bound = np.sqrt(geometry.Gamma1 * geometry.Gamma2)
     if abs(gamma) > bound + 1e-9:
         raise GeometryError(f"collective rate {gamma} exceeds sqrt(Gamma1 Gamma2)")
     return gamma
 
 
+@_QUIET
 def small_separation_limit(geometry: EmitterGeometry) -> CouplingSet:
     """Quasi-static limit for r12 << lambda0: V from the dominant 1/z^3 term,
     gamma = sqrt(Gamma1 Gamma2) mu1.mu2. Enforced below r12 = 0.05 lambda0."""
@@ -136,8 +156,8 @@ def small_separation_limit(geometry: EmitterGeometry) -> CouplingSet:
             f"got {geometry.r12_over_lambda0}")
     a, b = geometry.orientation_factors()
     root = np.sqrt(geometry.Gamma1 * geometry.Gamma2)
-    v_lim = 0.75 * root * (a - 3.0 * b) / geometry.z**3
-    return CouplingSet(V=float(v_lim), gamma=float(root * a))
+    v_lim = 0.75 * root * (a - 3.0 * b) / np.float64(geometry.z)**3
+    return CouplingSet(V=float(_finite(geometry, "V", v_lim)), gamma=float(root * a))
 
 
 def couplings(geometry: EmitterGeometry) -> CouplingSet:

@@ -149,7 +149,8 @@ _THETA13 = 5.371920351148152
 
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by Pade-13 scaling and squaring (Higham, SIAM J.
-    Matrix Anal. Appl. 26, 1179 (2005)); all-NaN for a non-finite input."""
+    Matrix Anal. Appl. 26, 1179 (2005)); all-NaN for a non-finite input or
+    result."""
     norm = np.abs(a).sum(axis=0).max()
     if not np.isfinite(norm):
         return np.full_like(a, np.nan)
@@ -170,9 +171,11 @@ def _expm(a: np.ndarray) -> np.ndarray:
     # 200-sample trajectory
     r = 2.0 * np.linalg.solve(v - u, u)
     r[np.diag_indices_from(r)] += 1.0
-    for _ in range(s):
-        r = r @ r
-    return r
+    # squarings can overflow on a generator too stiff for double precision
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            r = r @ r
+    return r if np.isfinite(r).all() else np.full_like(r, np.nan)
 
 
 def _vec(rho: np.ndarray) -> np.ndarray:

@@ -3,10 +3,12 @@
 One defect raises one type on every entry point, for one state or a stack: an
 eigenvalue below -1e-8 or a NaN or infinite entry of a state,
 NonPhysicalStateError; a NaN or out-of-range argument of binary_entropy or
-eof_from_concurrence, a non-finite SystemParams field or MeasurementBasis angle,
-ValueError; a bad EmitterGeometry field, GeometryError; a bad scenario file,
-ScenarioError; a propagated sample off the physical manifold, PropagationError;
-a spin-flip spectrum that is not real, NumericsError."""
+eof_from_concurrence, a non-finite SystemParams field, or a conditional_entropy
+angle that is not finite or (theta_m) outside [0, pi/2], ValueError; a bad
+EmitterGeometry field, or a separation at which z, V or gamma is not finite,
+GeometryError; a bad scenario file, ScenarioError; a propagated sample off the
+physical manifold, PropagationError; a spin-flip spectrum that is not real,
+NumericsError."""
 
 
 class EmitterSimError(Exception):
@@ -27,10 +29,6 @@ class AnalyticFormError(EmitterSimError, ValueError):
 
 class XStructureError(EmitterSimError, ValueError):
     """State does not have the required X structure."""
-
-
-class ZeroProbabilityOutcomeError(EmitterSimError, ValueError):
-    """Conditional state undefined: measurement outcome has (near-)zero probability."""
 
 
 class ScenarioError(EmitterSimError, ValueError):

@@ -155,7 +155,7 @@ def clamped_spectrum(rho: np.ndarray) -> np.ndarray:
     failure, not roundoff).
     """
     ev = np.linalg.eigvalsh(_require_finite(rho))
-    if ev.min() < -NEGATIVITY_TOL:
+    if ev.min(initial=0.0) < -NEGATIVITY_TOL:
         raise NonPhysicalStateError(
             f"eigenvalue {ev.min():.3e} below -{NEGATIVITY_TOL:.0e}: non-physical state")
     return np.clip(ev, 0.0, None)

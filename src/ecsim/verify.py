@@ -9,11 +9,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import states
-from .correlations import (MeasurementBasis, concurrence, conditional_entropy,
-                           correlation_records, eof_from_concurrence,
-                           mutual_information,
-                           xstate_conditional_entropy_branches,
-                           _cond_entropy_from_weights, _measurement_weights, _reorder)
+from .correlations import (concurrence, conditional_entropy, correlation_records,
+                           eof_from_concurrence, mutual_information,
+                           xstate_conditional_entropy_branches)
 from .couplings import EmitterGeometry, collective_decay, coupling_strength
 from .dynamics import (AlphaState, SystemParams, analytic_evolution,
                        build_bell_diagonal, propagate, stationary_state)
@@ -204,11 +202,10 @@ def check_correlation_hierarchy() -> CheckResult:
     rec = correlation_records(all_states)
     cc, qd, eof = rec.cc, rec.qd, rec.eof
     s_a = states.von_neumann_entropy(states.partial_trace(all_states, "A"))
-    s_b = states.von_neumann_entropy(states.partial_trace(all_states, "B"))
-    s_ab = states.von_neumann_entropy(all_states)
     bound = qd - cc
+    # S_B + 2 min(s1, s2) - S_A - S_AB, with S_B - S_AB taken from MI
     closed = np.minimum(*xstate_conditional_entropy_branches(all_states))
-    closed_bound = s_b + 2.0 * closed - s_a - s_ab
+    closed_bound = rec.mi - 2.0 * (s_a - closed)
     visible = eof > 0.01
 
     def where(k):
@@ -326,39 +323,46 @@ def check_driven_stationarity() -> CheckResult:
     return res
 
 
+def _soundness_states() -> np.ndarray:
+    """Criterion 9's 100 random states: normalized complex Ginibre products."""
+    rng = np.random.default_rng(20260810)
+    rhos = np.stack([g @ g.conj().T for g in (
+        rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(100))])
+    return rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+
+
+def _grid_minimum(rho: np.ndarray):
+    """(value, theta_m, phi_m) of the least conditional_entropy of rho over
+    criterion 9's 512 x 512 grid, ties broken by first occurrence."""
+    thetas = np.linspace(0.0, np.pi / 2, 512)
+    phis = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+    values = conditional_entropy(rho, thetas[:, None], phis)
+    i, j = np.unravel_index(np.argmin(values), values.shape)
+    return float(values[i, j]), thetas[i], phis[j]
+
+
 def check_optimizer_soundness() -> CheckResult:
-    """Criterion 9: optimizer vs 512x512 grid + Nelder-Mead polish on 100 random
-    states, and the additivity identity QD + CC = MI."""
+    """Criterion 9: the measurement search against a 512x512 grid +
+    Nelder-Mead polish on 100 random states, both through the Bloch-form
+    conditional_entropy, which shares no arithmetic with the search; and the
+    additivity identity QD + CC = MI."""
     # imported here, its only user, to keep scipy.optimize out of CLI start-up
     from scipy.optimize import minimize
 
     res = CheckResult("optimizer_soundness")
-    rng = np.random.default_rng(20260810)
-    th_axis = np.linspace(0.0, np.pi / 2, 512)
-    ph_axis = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-    th_grid, ph_grid = np.meshgrid(th_axis, ph_axis, indexing="ij")
-    th_flat, ph_flat = th_grid.ravel(), ph_grid.ravel()
-    weights = _measurement_weights(th_flat, ph_flat)
-
+    rhos = _soundness_states()
+    rec = correlation_records(rhos)
+    s_a = states.von_neumann_entropy(states.partial_trace(rhos, "A"))
     worst_cc = 0.0
-    worst_add = 0.0
-    for _ in range(100):
-        ginibre = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        rho = ginibre @ ginibre.conj().T
-        rho = rho / rho.trace().real
-
-        rec = correlation_records(rho)
-        s_a = states.von_neumann_entropy(states.partial_trace(rho, "A"))
-        vals = _cond_entropy_from_weights(_reorder(rho), weights)
-        k = int(np.argmin(vals))
+    for k, rho in enumerate(rhos):
+        value, theta, phi = _grid_minimum(rho)
         polish = minimize(
-            lambda x: conditional_entropy(rho, MeasurementBasis(
-                float(np.clip(x[0], 0.0, np.pi / 2)), float(np.mod(x[1], 2.0 * np.pi)))),
-            [th_flat[k], ph_flat[k]], method="Nelder-Mead",
-            options=dict(xatol=1e-10, fatol=1e-13))
-        cc_grid = s_a - min(float(vals[k]), float(polish.fun))
-        worst_cc = max(worst_cc, abs(rec.cc - cc_grid))
-        worst_add = max(worst_add, abs(rec.qd + rec.cc - rec.mi))
+            lambda x: conditional_entropy(rho, float(np.clip(x[0], 0.0, np.pi / 2)),
+                                          float(np.mod(x[1], 2.0 * np.pi))),
+            [theta, phi], method="Nelder-Mead", options=dict(xatol=1e-10, fatol=1e-13))
+        cc_grid = s_a[k] - min(value, float(polish.fun))
+        worst_cc = max(worst_cc, abs(rec.cc[k] - cc_grid))
+    worst_add = float(np.abs(rec.qd + rec.cc - rec.mi).max())
 
     res.add("max |CC_opt - CC_grid| over 100 random states", "<= 1e-05",
             f"{worst_cc:.3e}", 1e-5, worst_cc <= 1e-5)

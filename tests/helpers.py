@@ -3,7 +3,7 @@ conditional-entropy oracle built from full-space projections."""
 import numpy as np
 from scipy.optimize import minimize
 
-from ecsim import MeasurementBasis, conditional_entropy
+from ecsim import conditional_entropy
 
 
 def random_density_matrix(rng, dim=4):
@@ -29,18 +29,15 @@ def random_unit_vector(rng):
     return v / np.linalg.norm(v)
 
 
-def oracle_min_conditional_entropy(rho, n_grid=256):
-    """Grid + Nelder-Mead reference minimum of the measured conditional entropy.
-
-    Evaluates through explicit 4x4 projections and reduced-state
-    diagonalization -- an algebra route independent of the package's
-    closed-form 2x2 kernel -- then polishes through the public scalar op.
-    """
+def oracle_conditional_entropy(rho, thetas, phis):
+    """Measured conditional entropy at broadcast (theta_m, phi_m) angles,
+    through explicit 4x4 projections I (x) |v><v| and reduced-state
+    diagonalization: an algebra route independent of both the package's
+    closed-form 2x2 search kernel and its Bloch-form conditional_entropy."""
     rho = np.asarray(rho, dtype=complex)
-    thetas = np.linspace(0.0, np.pi / 2, n_grid)
-    phis = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    tf, pf = tg.ravel(), pg.ravel()
+    thetas, phis = np.broadcast_arrays(np.asarray(thetas, dtype=float),
+                                       np.asarray(phis, dtype=float))
+    tf, pf = thetas.ravel(), phis.ravel()
     ct, st, ep = np.cos(tf), np.sin(tf), np.exp(1j * pf)
     kets = (np.stack([ct + 0j, ep * st], axis=1),
             np.stack([np.conj(ep) * st, -ct + 0j], axis=1))
@@ -59,14 +56,21 @@ def oracle_min_conditional_entropy(rho, n_grid=256):
         x = np.clip(eigs / safe, 0.0, 1.0)
         entr = -(x * np.log2(np.where(x > 0.0, x, 1.0))).sum(axis=1)
         total += np.where(probs > 1e-14, probs * entr, 0.0)
+    return total.reshape(thetas.shape)
 
-    k = int(np.argmin(total))
+
+def oracle_min_conditional_entropy(rho, n_grid=256):
+    """Grid + Nelder-Mead reference minimum of the measured conditional entropy:
+    the full-projection grid, polished through the public conditional_entropy."""
+    thetas = np.linspace(0.0, np.pi / 2, n_grid)
+    phis = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
+    values = oracle_conditional_entropy(rho, thetas[:, None], phis)
+    i, j = np.unravel_index(np.argmin(values), values.shape)
 
     def objective(angles):
-        theta = float(np.clip(angles[0], 0.0, np.pi / 2))
-        phi = float(np.mod(angles[1], 2.0 * np.pi))
-        return conditional_entropy(rho, MeasurementBasis(theta, phi))
+        return conditional_entropy(rho, float(np.clip(angles[0], 0.0, np.pi / 2)),
+                                   float(np.mod(angles[1], 2.0 * np.pi)))
 
-    polish = minimize(objective, [tf[k], pf[k]], method="Nelder-Mead",
+    polish = minimize(objective, [thetas[i], phis[j]], method="Nelder-Mead",
                       options=dict(xatol=1e-10, fatol=1e-13))
-    return min(float(total[k]), float(polish.fun))
+    return min(float(values[i, j]), float(polish.fun))

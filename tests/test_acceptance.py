@@ -4,10 +4,8 @@ Each test prints `ACCEPTANCE nn` and the check's report as `ecsim verify`
 prints it (verdict, then expected/got/tolerance for every sub-check), then
 asserts. The same checks back the `ecsim verify` subcommand.
 """
-import pytest
-
 import ecsim.correlations
-from ecsim import verify
+from ecsim import correlation_records, partial_trace, verify, von_neumann_entropy
 
 
 def _run(number, name):
@@ -65,3 +63,16 @@ def test_entanglement_checks_do_not_run_the_measurement_search(monkeypatch):
     monkeypatch.setattr(ecsim.correlations, "_minimize_batch", no_search)
     for name in ("entanglement_sudden_birth", "concurrence_exceeds_mutual_information"):
         assert verify.run_check(name).passed
+
+
+def test_criterion_09_grid_does_not_share_the_search_kernel(monkeypatch):
+    # a uniform 0.1% bias in the search's branch entropy moves CC far beyond
+    # criterion 9's 1e-5 tolerance against its grid, which the bias leaves alone
+    rhos = verify._soundness_states()[:3]
+    s_a = von_neumann_entropy(partial_trace(rhos, "A"))
+    cc_grid = s_a - [verify._grid_minimum(rho)[0] for rho in rhos]
+    assert (abs(correlation_records(rhos).cc - cc_grid) <= 1e-5).all()
+    branch_entropy = ecsim.correlations._branch_entropy
+    monkeypatch.setattr(ecsim.correlations, "_branch_entropy",
+                        lambda m: 0.999 * branch_entropy(m))
+    assert (abs(correlation_records(rhos).cc - cc_grid) > 1e-4).all()

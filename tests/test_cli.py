@@ -1,13 +1,20 @@
 """CLI subcommands, exit codes, and the Fig.-1 scenario regression."""
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecsim import PropagationError
 from ecsim.cli import main
+from ecsim.scenario import parse_flat_config
+from test_scenario import _KEYS, _VALUES, BASE, GEOMETRY, SCANS
 
 FIG1_SCENARIO = """
 # doubly excited pair, no laser: Gamma = 0.7818 V, gamma = 0.6884 V
@@ -177,3 +184,33 @@ def test_verify_filter_runs_named_check(capsys):
 
 def test_verify_unknown_filter_fails(capsys):
     assert main(["verify", "--filter", "definitely_not_a_check"]) == 3
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(base=st.sampled_from([BASE, GEOMETRY, *SCANS.values()]),
+       overrides=st.dictionaries(st.sampled_from(_KEYS), _VALUES, min_size=1, max_size=2),
+       dropped=st.sets(st.sampled_from(_KEYS), max_size=1),
+       samples=st.integers(2, 12), steps=st.integers(1, 3))
+def test_exit_code_map(tmp_path_factory, base, overrides, dropped, samples, steps):
+    # nan, inf, huge and garbage values over the scenario keys, through evolve
+    # or scan as the text has a scan section: exit 0, 1 or 2, no exception, and
+    # on failure exactly one stderr line (a warning counts as one).
+    # time.samples and scan.steps stay small so that each example runs fast;
+    # the state cap keeps its own test
+    entries = parse_flat_config(base)
+    entries.update(overrides)
+    for key, value in (("time.samples", samples), ("scan.steps", steps)):
+        if key in entries:
+            entries[key] = str(value)
+    text = "".join(f"{k} = {v}\n" for k, v in entries.items() if k not in dropped)
+    folder = tmp_path_factory.getbasetemp()
+    scenario = folder / "exit_code_map.cfg"
+    scenario.write_text(text)
+    command = "scan" if "scan." in text else "evolve"
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([command, str(scenario), "-o", str(folder / "exit_code_map.csv")])
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert code in (0, 1, 2)
+    assert len(lines) == (1 if code else 0), lines

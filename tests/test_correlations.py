@@ -7,20 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecsim import (AlphaState, MeasurementBasis, NonPhysicalStateError,
-                   NumericsError, SystemParams, XStructureError,
-                   ZeroProbabilityOutcomeError, alpha_ket, analytic_evolution,
-                   bell_ket, binary_entropy, build_bell_diagonal, concurrence,
-                   conditional_entropy, correlation_records, density_from_ket,
+from ecsim import (AlphaState, NumericsError, SystemParams, XStructureError,
+                   alpha_ket, analytic_evolution, bell_ket, binary_entropy,
+                   build_bell_diagonal, concurrence, conditional_entropy,
+                   correlation_records, density_from_ket,
                    entanglement_of_formation, eof_from_concurrence, ground_state,
-                   minimize_conditional_entropy, mutual_information,
-                   partial_trace, post_measurement_state, propagate,
-                   von_neumann_entropy, xstate_concurrence,
+                   liouvillian, mutual_information, partial_trace, propagate,
+                   stationary_state, von_neumann_entropy, xstate_concurrence,
                    xstate_conditional_entropy_branches)
 from ecsim.correlations import (GRID_SHAPE, _cond_entropy_values, _grid_seed,
                                 _minimize_batch, _reorder)
-from helpers import (oracle_min_conditional_entropy, random_density_matrix,
-                     random_pure_ket, random_unitary)
+from ecsim.verify import FIG7B
+from helpers import (oracle_conditional_entropy, oracle_min_conditional_entropy,
+                     random_density_matrix, random_pure_ket, random_unitary)
 
 # frozen oracle values for the Bell-diagonal counterexample states
 I_RHO_M = 1.078071905112638
@@ -53,81 +52,69 @@ def test_mutual_information_bell_diagonal():
     assert mutual_information(RHO_M) == pytest.approx(1.078, abs=2e-3)
 
 
-# ------------------------------------------------- measurement bases
+# ------------------------------------------------ conditional entropy
 
-def test_measurement_basis_orthonormal(rng):
-    for _ in range(20):
-        basis = MeasurementBasis(rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi))
-        ket_a, ket_b = basis.vectors()
-        assert abs(ket_a.conj() @ ket_b) < 1e-12
-        proj_a, proj_b = basis.projectors()
-        assert np.abs(proj_a + proj_b - np.eye(2)).max() < 1e-12
-    for theta, phi in ((-0.1, 0.0), (np.nan, 0.0), (0.3, np.nan), (0.3, np.inf)):
+def random_angles(rng, count):
+    return rng.uniform(0, np.pi / 2, count), rng.uniform(0, 2 * np.pi, count)
+
+
+def test_measurement_basis_orthonormal():
+    # the measurement is defined for theta_m in [0, pi/2] and finite phi_m only
+    for theta, phi in ((-0.1, 0.0), (np.nan, 0.0), (0.3, np.nan), (0.3, np.inf),
+                       (np.pi / 2 + 1e-9, 0.0), ([0.3, -0.1], 0.0), (0.3, [0.0, np.inf])):
         with pytest.raises(ValueError):
-            MeasurementBasis(theta, phi)
-
-
-def test_post_measurement_bell_computational():
-    cond, prob = post_measurement_state(BELL, MeasurementBasis(0.0, 0.0), "a")
-    assert prob == pytest.approx(0.5, abs=1e-12)
-    assert np.abs(cond - np.diag([0.0, 1.0])).max() < 1e-12
+            conditional_entropy(BELL, theta, phi)
+    assert type(conditional_entropy(BELL, np.pi / 2 + 1e-13, -1e3)) is float
 
 
 def test_post_measurement_product_state(rng):
+    # measuring B leaves A in rho_A whatever the basis
     rho_a = random_density_matrix(rng, 2)
     rho = np.kron(rho_a, random_density_matrix(rng, 2))
-    basis = MeasurementBasis(0.7, 1.9)
-    for outcome in ("a", "b"):
-        cond, _ = post_measurement_state(rho, basis, outcome)
-        assert np.abs(cond - rho_a).max() < 1e-12
-
-
-def test_post_measurement_probabilities_sum_to_one(rng):
-    rho = random_density_matrix(rng)
-    basis = MeasurementBasis(1.1, 4.2)
-    _, pa = post_measurement_state(rho, basis, "a")
-    _, pb = post_measurement_state(rho, basis, "b")
-    assert pa + pb == pytest.approx(1.0, abs=1e-12)
+    values = conditional_entropy(rho, *random_angles(rng, 50))
+    assert np.abs(values - von_neumann_entropy(rho_a)).max() < 1e-12
 
 
 def test_post_measurement_zero_probability_branch():
-    # B is definitely |0>, so outcome 'a' of the theta = pi/2 basis (|1>) is empty
-    with pytest.raises(ZeroProbabilityOutcomeError):
-        post_measurement_state(ground_state(), MeasurementBasis(np.pi / 2, 0.0), "a")
+    # B is definitely |0>, so outcome 'a' of the theta = pi/2 basis (|1>) is
+    # empty and contributes 0; the other outcome leaves A maximally mixed
+    rho = np.kron(np.eye(2) / 2, np.diag([1.0, 0.0]))
+    assert conditional_entropy(rho, np.pi / 2, 0.0) == 1.0
+    assert conditional_entropy(ground_state(), np.pi / 2, 1.3) == 0.0
 
-
-# ------------------------------------------------ conditional entropy
 
 def test_conditional_entropy_pure_product(rng):
     rho = np.kron(density_from_ket(random_pure_ket(rng, 2)),
                   density_from_ket(random_pure_ket(rng, 2)))
-    for _ in range(5):
-        basis = MeasurementBasis(rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi))
-        assert conditional_entropy(rho, basis) < 1e-10
+    assert (conditional_entropy(rho, *random_angles(rng, 5)) < 1e-10).all()
 
 
 def test_conditional_entropy_bell_any_basis(rng):
     # conditional states of a Bell pair are pure for every projective basis
-    for _ in range(10):
-        basis = MeasurementBasis(rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi))
-        assert conditional_entropy(BELL, basis) < 1e-10
+    assert (conditional_entropy(BELL, *random_angles(rng, 10)) < 1e-10).all()
 
 
 def test_conditional_entropy_incoherent_mixture():
-    value = conditional_entropy(RHO_INCOH, MeasurementBasis(0.0, 0.0))
+    value = conditional_entropy(RHO_INCOH, 0.0, 0.0)
     assert value == pytest.approx(1.0 - I_INCOH, abs=1e-12)
 
 
 def test_conditional_entropy_matches_definition(rng):
-    # spot-check the optimizer kernel against the op-level route
-    rho = random_density_matrix(rng)
-    for theta, phi in [(0.3, 0.5), (1.2, 3.3), (0.0, 0.0), (np.pi / 2, 5.1)]:
-        basis = MeasurementBasis(theta, phi)
-        total = 0.0
-        for outcome in ("a", "b"):
-            cond, prob = post_measurement_state(rho, basis, outcome)
-            total += prob * von_neumann_entropy(cond)
-        assert conditional_entropy(rho, basis) == pytest.approx(total, abs=1e-12)
+    # the Bloch form against the full-projection route, on Ginibre, pure, Bell,
+    # Bell-diagonal and X states, with both poles and the equator of the chart
+    rhos = ([random_density_matrix(rng) for _ in range(5)]
+            + [density_from_ket(random_pure_ket(rng)) for _ in range(5)]
+            + [density_from_ket(bell_ket(kind)) for kind in ("phi+", "phi-", "psi+", "psi-")]
+            + [RHO_M, RHO_INCOH, ground_state()]
+            + [analytic_evolution(AlphaState(alpha, phi), SystemParams(V=2.03, gamma=0.91), t)
+               for alpha, phi, t in ((0.3, 0.0, 0.8), (0.9, 2.0, 0.1), (0.5, np.pi, 4.0))])
+    thetas = np.concatenate([[0.0, np.pi / 4, np.pi / 2], rng.uniform(0, np.pi / 2, 20)])
+    phis = np.concatenate([[0.0, 1.0, 5.1], rng.uniform(0, 2 * np.pi, 20)])
+    for rho in rhos:
+        expected = oracle_conditional_entropy(rho, thetas, phis)
+        assert np.abs(conditional_entropy(rho, thetas, phis) - expected).max() <= 1e-12
+        grid = conditional_entropy(rho, thetas[:, None], phis)
+        assert np.abs(grid - oracle_conditional_entropy(rho, thetas[:, None], phis)).max() <= 1e-12
 
 
 # ------------------------------------------- classical correlations / QD
@@ -179,11 +166,16 @@ def test_discord_bounds_and_additivity(rng):
     assert (rec.eof == eof_from_concurrence(rec.concurrence)).all()
 
 
+def searched_minimum(rho):
+    """min S(A|B) from the search, as S_A - CC."""
+    return von_neumann_entropy(partial_trace(rho, "A")) - correlation_records(rho).cc
+
+
 def test_optimizer_against_independent_oracle(rng):
-    for _ in range(10):
-        rho = random_density_matrix(rng)
-        fast, _ = minimize_conditional_entropy(rho)
-        assert fast == pytest.approx(oracle_min_conditional_entropy(rho), abs=1e-5)
+    rhos = np.stack([random_density_matrix(rng) for _ in range(10)])
+    fast = searched_minimum(rhos)
+    for k, rho in enumerate(rhos):
+        assert fast[k] == pytest.approx(oracle_min_conditional_entropy(rho), abs=1e-5)
 
 
 # driven trajectories whose 64x64 grid best sits on the theta_m = pi/2 pole of
@@ -206,8 +198,8 @@ POLE_CASES = (
 def test_optimizer_leaves_chart_pole(params, alpha, phi, t_final, samples, k):
     rho = propagate(AlphaState(alpha, phi).density(), SystemParams(**params),
                     t_final, samples).states[k]
-    value, _ = minimize_conditional_entropy(rho)
-    assert value == pytest.approx(oracle_min_conditional_entropy(rho), abs=1e-6)
+    assert searched_minimum(rho) == pytest.approx(oracle_min_conditional_entropy(rho),
+                                                  abs=1e-6)
 
 
 def test_cond_entropy_mirror_symmetry(rng):
@@ -269,8 +261,9 @@ def test_search_memory_peak_is_bounded(rng):
 
 def test_minimize_returns_achieving_basis(rng):
     rho = random_density_matrix(rng)
-    value, basis = minimize_conditional_entropy(rho)
-    assert conditional_entropy(rho, basis) == pytest.approx(value, abs=1e-9)
+    rec = correlation_records(rho)
+    assert conditional_entropy(rho, rec.theta_m, rec.phi_m) == \
+        pytest.approx(searched_minimum(rho), abs=1e-9)
 
 
 # ------------------------------------------------------- concurrence / EoF
@@ -350,8 +343,7 @@ def test_xstate_branch_equals_equatorial_measurement():
     rho = analytic_evolution(AlphaState(0.3, 0.0), SystemParams(V=2.0, gamma=0.5), 0.8)
     _, s2 = xstate_conditional_entropy_branches(rho)
     # real coherence: the second branch is the theta = pi/4, phi = 0 measurement
-    assert conditional_entropy(rho, MeasurementBasis(np.pi / 4, 0.0)) == \
-        pytest.approx(s2, abs=1e-12)
+    assert conditional_entropy(rho, np.pi / 4, 0.0) == pytest.approx(s2, abs=1e-12)
 
 
 def test_xstate_branches_match_general_optimizer(rng):
@@ -360,8 +352,7 @@ def test_xstate_branches_match_general_optimizer(rng):
         state = AlphaState(rng.uniform(), rng.uniform(0, 2 * np.pi))
         rho = analytic_evolution(state, params, rng.uniform(0, 6))
         s1, s2 = xstate_conditional_entropy_branches(rho)
-        general, _ = minimize_conditional_entropy(rho)
-        assert min(s1, s2) == pytest.approx(general, abs=1e-6)
+        assert min(s1, s2) == pytest.approx(searched_minimum(rho), abs=1e-6)
 
 
 def test_xstate_branches_reject_non_x_states(rng):
@@ -519,6 +510,74 @@ def test_off_dominance_bound_at_60_digits(alpha, phi, v, gamma, t, margin):
     assert abs(rec.qd - rec.cc - float(exact)) <= 1e-9
 
 
+def _mp_stationary_state(params):
+    """Fixed point of the 16x16 generator at the working precision: L vec(rho)
+    = 0 on column-stacked rho, with the first row replaced by tr rho = 1."""
+    generator = liouvillian(params)
+    matrix = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in generator])
+    rhs = mpmath.matrix(16, 1)
+    for j in range(16):
+        matrix[0, j] = 1 if j % 5 == 0 else 0
+    rhs[0] = 1
+    vec = mpmath.lu_solve(matrix, rhs)
+    return mpmath.matrix([[vec[i + 4 * j] for j in range(4)] for i in range(4)])
+
+
+_PAULI = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+          np.diag([1, -1]))
+
+
+def _mp_fano(rho):
+    """R[mu][nu] = tr(rho sigma_mu (x) sigma_nu) of an mpmath 4x4 state."""
+    return [[mpmath.re(sum(product[i, j] * rho[j, i] for i in range(4) for j in range(4)
+                           if product[i, j] != 0))
+             for product in (np.kron(s, t) for t in _PAULI)] for s in _PAULI]
+
+
+def _mp_conditional_entropy(fano, theta, phi):
+    """The Bloch form of conditional_entropy at the working precision."""
+    n = (mpmath.sin(2 * theta) * mpmath.cos(phi), mpmath.sin(2 * theta) * mpmath.sin(phi),
+         mpmath.cos(2 * theta))
+    total = 0
+    for sign in (1, -1):
+        prob = (1 + sign * sum(fano[0][j + 1] * n[j] for j in range(3))) / 2
+        bloch = [fano[i + 1][0] + sign * sum(fano[i + 1][j + 1] * n[j] for j in range(3))
+                 for i in range(3)]
+        length = mpmath.sqrt(sum(x * x for x in bloch)) / (2 * prob)
+        total += prob * _mp_binary_entropy((1 + length) / 2)
+    return total
+
+
+def test_stationary_discord_gap_certified_at_50_digits():
+    # criterion 8's "stationary QD > CC" passes on a gap of ~1.3e-12; the
+    # fixed point and the minimized conditional entropy at 50 digits certify
+    # its sign, and the double-precision gap matches to 1e-14
+    params = SystemParams(**FIG7B)
+    thetas = np.linspace(0.0, np.pi / 2, 129)
+    phis = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    grid = conditional_entropy(stationary_state(params), thetas[:, None], phis)
+    i, j = np.unravel_index(np.argmin(grid), grid.shape)
+    with mpmath.workdps(50):
+        rho = _mp_stationary_state(params)
+        fano = _mp_fano(rho)
+
+        def gradient(theta, phi):
+            return [mpmath.diff(lambda x: _mp_conditional_entropy(fano, x, phi), theta),
+                    mpmath.diff(lambda y: _mp_conditional_entropy(fano, theta, y), phi)]
+
+        theta, phi = mpmath.findroot(gradient, (thetas[i], phis[j]))
+        least = _mp_conditional_entropy(fano, theta, phi)
+        s_a, s_b = (_mp_binary_entropy((1 + mpmath.norm(vector)) / 2)
+                    for vector in ([fano[k][0] for k in (1, 2, 3)], fano[0][1:]))
+        s_ab = -sum(lam * mpmath.log(lam, 2) for lam in mpmath.eighe(rho, eigvals_only=True)
+                    if lam > 0)
+        gap = s_b - s_ab - s_a + 2 * least
+    assert gap > 0
+    assert least <= grid.min()
+    rec = correlation_records(stationary_state(params))
+    assert abs(rec.qd - rec.cc - float(gap)) <= 1e-14
+
+
 # ------------------------------------------------------ record bundling
 
 def test_correlation_record_bell():
@@ -548,15 +607,17 @@ def test_correlation_record_bell_diagonal():
 
 
 def test_stacked_measures_equal_per_state_measures(rng):
-    # one implementation per measure: a stack gives exactly the per-state values
+    # one implementation per measure: a stack gives exactly the per-state
+    # values, and an empty stack an empty array
     rhos = np.stack([random_density_matrix(rng) for _ in range(50)]
                     + [ground_state(), BELL])
-    for fn in (mutual_information, von_neumann_entropy, concurrence):
-        stacked = fn(rhos)
-        assert stacked.shape == (len(rhos),)
-        singles = [fn(rho) for rho in rhos]
-        assert all(type(value) is float for value in singles)
-        assert (stacked == np.array(singles)).all()
+    for stack in (rhos, rhos[:0]):
+        for fn in (mutual_information, von_neumann_entropy, concurrence):
+            stacked = fn(stack)
+            assert stacked.shape == (len(stack),)
+            singles = [fn(rho) for rho in stack]
+            assert all(type(value) is float for value in singles)
+            assert (stacked == np.array(singles)).all()
     for keep in ("A", "B"):
         reduced = partial_trace(rhos, keep)
         assert reduced.shape == (len(rhos), 2, 2)
@@ -572,16 +633,18 @@ def test_stacked_measures_equal_per_state_measures(rng):
 
 
 def test_correlation_records_match_single_state_path(rng):
-    # a (2, 3) stack gives, field by field, the floats of each state on its own
-    states = np.stack([random_density_matrix(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
-    stacked = vars(correlation_records(states))
-    assert set(stacked) == {"mi", "cc", "qd", "concurrence", "eof", "theta_m", "phi_m"}
-    for index in np.ndindex(2, 3):
-        single = vars(correlation_records(states[index]))
-        for name, values in stacked.items():
-            assert values.shape == (2, 3)
-            assert type(single[name]) is float
-            assert single[name] == pytest.approx(values[index], abs=1e-12)
+    # a (2, 3) stack gives, field by field, the floats of each state on its
+    # own; a (2, 0) stack gives empty fields
+    stack = np.stack([random_density_matrix(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+    for states in (stack, stack[:, :0]):
+        stacked = vars(correlation_records(states))
+        assert set(stacked) == {"mi", "cc", "qd", "concurrence", "eof", "theta_m", "phi_m"}
+        assert all(values.shape == states.shape[:2] for values in stacked.values())
+        for index in np.ndindex(states.shape[:2]):
+            single = vars(correlation_records(states[index]))
+            for name, values in stacked.items():
+                assert type(single[name]) is float
+                assert single[name] == pytest.approx(values[index], abs=1e-12)
 
 
 # ------------------------------------------------------ properties

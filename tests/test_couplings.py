@@ -1,4 +1,7 @@
 """Geometry-derived coupling strength and collective decay rate."""
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -128,6 +131,27 @@ def test_geometry_rejects_non_finite(field, value):
     kwargs[field] = value
     with pytest.raises(GeometryError, match=f"{field} must be finite"):
         EmitterGeometry(**kwargs)
+
+
+@pytest.mark.parametrize("call, separation, name", [
+    (couplings, 1e308, "z"), (couplings, 1e-110, "V"), (couplings, 1e-320, "V"),
+    (small_separation_limit, 1e-320, "V")])
+def test_extreme_separation_is_geometry_error(call, separation, name):
+    # z overflows, or the 1/z^3 term of V does: one GeometryError naming the
+    # separation, raised before numpy warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match=f"{re.escape(repr(separation))} is out "
+                                                f"of range: {name} = .* is not finite"):
+            call(perp_geometry(separation))
+
+
+def test_far_separation_rates_vanish():
+    # z^2 and z^3 overflow to inf, and V and gamma fall off like 1/z
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = couplings(perp_geometry(1e300))
+    assert 0.0 < max(abs(far.V), abs(far.gamma)) < 1e-300
 
 
 def test_geometry_validation():

@@ -1,4 +1,6 @@
 """Hamiltonian construction, Lindblad generator, propagation, closed forms."""
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -204,6 +206,16 @@ def test_propagate_non_finite_generator_fails_first_step(monkeypatch):
     p = SystemParams(V=1.0, gamma=0.5)
     with pytest.raises(PropagationError, match="at sample 1 "):
         propagate(ground_state(), p, 1.0, 5)
+
+
+def test_propagate_overflowing_generator_fails_without_warning():
+    # a detuning too large for double precision overflows the squarings of
+    # exp(L dt): a PropagationError at the first step, and no numpy warning
+    p = SystemParams(V=2.03, gamma=0.91, delta_minus=1e20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PropagationError, match="at sample 1 "):
+            propagate(AlphaState(0.5, 0.0).density(), p, 2.0, 2)
 
 
 def test_expm_matches_scipy_over_benchmark_ranges(rng):

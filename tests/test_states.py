@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from ecsim import (NonPhysicalStateError, alpha_ket, bell_ket, binary_entropy,
-                   build_bell_diagonal, concurrence, correlation_records,
-                   density_from_ket, ground_state, minimize_conditional_entropy,
+                   build_bell_diagonal, concurrence, conditional_entropy,
+                   correlation_records, density_from_ket, ground_state,
                    mutual_information, partial_trace, validate_state,
                    von_neumann_entropy)
 from helpers import random_density_matrix, random_pure_ket, random_unitary
@@ -113,7 +113,7 @@ def test_non_finite_state_is_non_physical(rng, bad):
             with pytest.raises(NonPhysicalStateError, match="non-finite"):
                 fn(arg)
     with pytest.raises(NonPhysicalStateError, match="non-finite"):
-        minimize_conditional_entropy(rho)
+        conditional_entropy(rho, 0.3, 1.2)
 
 
 def test_entropy_clamps_roundoff_negativity():
