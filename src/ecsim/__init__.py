@@ -7,15 +7,14 @@ dissipative trajectories, with closed-form cross-checks for the
 single-excitation family and a scenario-driven CLI.
 """
 from .correlations import (CorrelationRecord, concurrence, conditional_entropy,
-                           correlation_records, entanglement_of_formation,
-                           eof_from_concurrence, mutual_information,
-                           xstate_concurrence, xstate_conditional_entropy_branches)
+                           correlation_records, eof_from_concurrence,
+                           mutual_information, xstate_concurrence,
+                           xstate_conditional_entropy_branches)
 from .couplings import (CouplingSet, EmitterGeometry, collective_decay,
-                        coupling_strength, couplings, small_separation_limit)
+                        coupling_strength, couplings)
 from .dynamics import (AlphaState, EvolutionResult, SystemParams,
                        analytic_evolution, build_bell_diagonal,
-                       build_hamiltonian, lindblad_rhs, liouvillian, propagate,
-                       stationary_state)
+                       build_hamiltonian, liouvillian, propagate, stationary_state)
 from .errors import (AnalyticFormError, EmitterSimError, GeometryError,
                      NonPhysicalStateError, NumericsError, PropagationError,
                      ScenarioError, XStructureError)
@@ -36,10 +35,9 @@ __all__ = [
     "binary_entropy", "build_bell_diagonal", "build_hamiltonian",
     "collective_decay", "concurrence", "conditional_entropy",
     "correlation_records", "coupling_strength", "couplings", "density_from_ket",
-    "doubly_excited_state", "entanglement_of_formation", "eof_from_concurrence",
-    "ground_state", "lindblad_rhs", "liouvillian", "load_geometry",
-    "load_scenario", "mutual_information", "parse_scenario", "partial_trace",
-    "propagate", "run_scenario", "small_separation_limit", "stationary_state",
-    "validate_state", "von_neumann_entropy", "xstate_concurrence",
-    "xstate_conditional_entropy_branches",
+    "doubly_excited_state", "eof_from_concurrence", "ground_state",
+    "liouvillian", "load_geometry", "load_scenario", "mutual_information",
+    "parse_scenario", "partial_trace", "propagate", "run_scenario",
+    "stationary_state", "validate_state", "von_neumann_entropy",
+    "xstate_concurrence", "xstate_conditional_entropy_branches",
 ]

@@ -261,10 +261,6 @@ def eof_from_concurrence(c):
     return states.binary_entropy(0.5 * (1.0 + np.sqrt(1.0 - c * c)))
 
 
-def entanglement_of_formation(rho: np.ndarray):
-    return eof_from_concurrence(concurrence(rho))
-
-
 # entries that must vanish in the single-excitation X class: everything but
 # the diagonal without the doubly-excited entry, and the |01><10| coherence
 _X_FORBIDDEN = np.array([[0, 1, 1, 1],

@@ -1,5 +1,5 @@
 """Coherent dipole-dipole coupling V and collective decay rate gamma from the
-emitter geometry, plus their short-distance limits.
+emitter geometry.
 
 All rates are in units of a reference rate Gamma (the bare rates Gamma1 and
 Gamma2 are given in those units); distances are in units of the emission
@@ -17,8 +17,6 @@ from .errors import GeometryError
 # |gamma| <= sqrt(Gamma1 Gamma2) bound); at z = 0.1 the direct branch is good
 # to ~2e-13 and the series through z^8 to ~2e-19
 SERIES_CUTOFF_Z = 0.1
-# applicability window of the quasi-static small-separation limit
-SMALL_SEPARATION_MAX = 0.05
 
 
 def _unit(vec, name: str) -> np.ndarray:
@@ -144,20 +142,6 @@ def collective_decay(geometry: EmitterGeometry) -> float:
     if abs(gamma) > bound + 1e-9:
         raise GeometryError(f"collective rate {gamma} exceeds sqrt(Gamma1 Gamma2)")
     return gamma
-
-
-@_QUIET
-def small_separation_limit(geometry: EmitterGeometry) -> CouplingSet:
-    """Quasi-static limit for r12 << lambda0: V from the dominant 1/z^3 term,
-    gamma = sqrt(Gamma1 Gamma2) mu1.mu2. Enforced below r12 = 0.05 lambda0."""
-    if geometry.r12_over_lambda0 >= SMALL_SEPARATION_MAX:
-        raise GeometryError(
-            f"small-separation limit requires r12/lambda0 < {SMALL_SEPARATION_MAX}, "
-            f"got {geometry.r12_over_lambda0}")
-    a, b = geometry.orientation_factors()
-    root = np.sqrt(geometry.Gamma1 * geometry.Gamma2)
-    v_lim = 0.75 * root * (a - 3.0 * b) / np.float64(geometry.z)**3
-    return CouplingSet(V=float(_finite(geometry, "V", v_lim)), gamma=float(root * a))
 
 
 def couplings(geometry: EmitterGeometry) -> CouplingSet:

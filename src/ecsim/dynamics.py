@@ -110,29 +110,15 @@ def build_hamiltonian(params: SystemParams) -> np.ndarray:
     return h
 
 
-def _dissipator_terms(params: SystemParams):
-    return ((params.Gamma1, _N1, SM1, SP1),
-            (params.Gamma2, _N2, SM2, SP2),
-            (params.gamma, SP1 @ SM2, SM1, SP2),
-            (params.gamma, SP2 @ SM1, SM2, SP1))
-
-
-def lindblad_rhs(rho: np.ndarray, params: SystemParams) -> np.ndarray:
-    """d(rho)/dt = -i[H, rho] + L(rho) with individual and collective decay."""
-    rho = np.asarray(rho, dtype=complex)
-    h = build_hamiltonian(params)
-    out = -1j * (h @ rho - rho @ h)
-    for rate, anti, jump_l, jump_r in _dissipator_terms(params):
-        out = out - 0.5 * rate * (rho @ anti + anti @ rho
-                                  - 2.0 * (jump_l @ rho @ jump_r))
-    return out
-
-
 def liouvillian(params: SystemParams) -> np.ndarray:
     """16x16 generator acting on column-stacked rho: d vec(rho)/dt = L vec(rho)."""
     h = build_hamiltonian(params)
     lio = -1j * (np.kron(_I4, h) - np.kron(h.T, _I4))
-    for rate, anti, jump_l, jump_r in _dissipator_terms(params):
+    # rate (jump_l rho jump_r - {anti, rho}/2): individual, then collective decay
+    for rate, anti, jump_l, jump_r in ((params.Gamma1, _N1, SM1, SP1),
+                                       (params.Gamma2, _N2, SM2, SP2),
+                                       (params.gamma, SP1 @ SM2, SM1, SP2),
+                                       (params.gamma, SP2 @ SM1, SM2, SP1)):
         lio = lio - 0.5 * rate * (np.kron(anti.T, _I4) + np.kron(_I4, anti)
                                   - 2.0 * np.kron(jump_r.T, jump_l))
     return lio

@@ -1,5 +1,6 @@
-"""Shared test utilities: random-state generators and an independent
-conditional-entropy oracle built from full-space projections."""
+"""Shared test utilities: random-state generators, an independent
+conditional-entropy oracle built from full-space projections, and an
+independent master-equation right-hand side."""
 import numpy as np
 from scipy.optimize import minimize
 
@@ -59,6 +60,18 @@ def oracle_conditional_entropy(rho, thetas, phis):
     return total.reshape(thetas.shape)
 
 
+def nelder_mead_minimum(rho, theta, phi):
+    """scipy's Nelder-Mead minimum of the public conditional_entropy from
+    (theta, phi), with theta clipped to [0, pi/2] and phi wrapped into
+    [0, 2 pi); xatol 1e-10, fatol 1e-13."""
+    def objective(angles):
+        return conditional_entropy(rho, float(np.clip(angles[0], 0.0, np.pi / 2)),
+                                   float(np.mod(angles[1], 2.0 * np.pi)))
+
+    return float(minimize(objective, [theta, phi], method="Nelder-Mead",
+                          options=dict(xatol=1e-10, fatol=1e-13)).fun)
+
+
 def oracle_min_conditional_entropy(rho, n_grid=256):
     """Grid + Nelder-Mead reference minimum of the measured conditional entropy:
     the full-projection grid, polished through the public conditional_entropy."""
@@ -66,11 +79,34 @@ def oracle_min_conditional_entropy(rho, n_grid=256):
     phis = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
     values = oracle_conditional_entropy(rho, thetas[:, None], phis)
     i, j = np.unravel_index(np.argmin(values), values.shape)
+    return min(float(values[i, j]), nelder_mead_minimum(rho, thetas[i], phis[j]))
 
-    def objective(angles):
-        return conditional_entropy(rho, float(np.clip(angles[0], 0.0, np.pi / 2)),
-                                   float(np.mod(angles[1], 2.0 * np.pi)))
 
-    polish = minimize(objective, [thetas[i], phis[j]], method="Nelder-Mead",
-                      options=dict(xatol=1e-10, fatol=1e-13))
-    return min(float(values[i, j]), float(polish.fun))
+# lowering operators |0><1| of emitters A (left factor) and B, built here apart
+# from the package's operators
+_LOWER = (np.kron([[0.0, 1.0], [0.0, 0.0]], np.eye(2)).astype(complex),
+          np.kron(np.eye(2), [[0.0, 1.0], [0.0, 0.0]]).astype(complex))
+
+
+def lindblad_rhs(rho, params):
+    """d(rho)/dt = -i[H, rho] + sum_ij G_ij (s_j rho s_i^+ - {s_i^+ s_j, rho}/2)
+    with s_i the lowering operator of emitter i and G = [[Gamma1, gamma],
+    [gamma, Gamma2]]. H = sum_i (d_i s_i^+ s_i + ell_i (s_i^+ + s_i))
+    + V (s_1^+ s_2 + s_2^+ s_1), with the emitter detunings
+    d_1,2 = delta_plus +- delta_minus / 2 from the laser. Shares no code with
+    build_hamiltonian or liouvillian."""
+    rho = np.asarray(rho, dtype=complex)
+    lower, raise_ = _LOWER, tuple(s.conj().T for s in _LOWER)
+    detunings = (params.delta_plus + 0.5 * params.delta_minus,
+                 params.delta_plus - 0.5 * params.delta_minus)
+    h = params.V * (raise_[0] @ lower[1] + raise_[1] @ lower[0])
+    for s, s_dag, det, ell in zip(lower, raise_, detunings, (params.ell1, params.ell2)):
+        h = h + det * (s_dag @ s) + ell * (s_dag + s)
+    rates = ((params.Gamma1, params.gamma), (params.gamma, params.Gamma2))
+    out = -1j * (h @ rho - rho @ h)
+    for i in range(2):
+        for j in range(2):
+            anti = raise_[i] @ lower[j]
+            out = out + rates[i][j] * (lower[j] @ rho @ raise_[i]
+                                       - 0.5 * (anti @ rho + rho @ anti))
+    return out

@@ -1,7 +1,9 @@
 """CLI subcommands, exit codes, and the Fig.-1 scenario regression."""
+import ast
 import contextlib
 import io
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -44,6 +46,24 @@ def test_cli_import_leaves_out_integrate_and_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split("\n")[:2] == ["[]", "[]"]
+
+
+def test_package_imports_no_scipy():
+    # the runtime needs numpy only: no module of the package names scipy in an
+    # import statement, at module level or inside a function
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "ecsim"
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}" for name in names
+                          if name.split(".")[0] == "scipy"]
+    assert offenders == []
 
 
 def test_public_names_resolve():
@@ -183,7 +203,12 @@ def test_verify_filter_runs_named_check(capsys):
 
 
 def test_verify_unknown_filter_fails(capsys):
-    assert main(["verify", "--filter", "definitely_not_a_check"]) == 3
+    # a filter that matches no check is invalid input: exit 1, one stderr line
+    assert main(["verify", "--filter", "definitely_not_a_check"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: no checks match filter 'definitely_not_a_check'"]
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)

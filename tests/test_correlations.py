@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from ecsim import (AlphaState, NumericsError, SystemParams, XStructureError,
                    alpha_ket, analytic_evolution, bell_ket, binary_entropy,
                    build_bell_diagonal, concurrence, conditional_entropy,
-                   correlation_records, density_from_ket,
-                   entanglement_of_formation, eof_from_concurrence, ground_state,
-                   liouvillian, mutual_information, partial_trace, propagate,
-                   stationary_state, von_neumann_entropy, xstate_concurrence,
-                   xstate_conditional_entropy_branches)
+                   correlation_records, density_from_ket, eof_from_concurrence,
+                   ground_state, liouvillian, mutual_information, partial_trace,
+                   propagate, stationary_state, von_neumann_entropy,
+                   xstate_concurrence, xstate_conditional_entropy_branches)
 from ecsim.correlations import (GRID_SHAPE, _cond_entropy_values, _grid_seed,
                                 _minimize_batch, _reorder)
 from ecsim.verify import FIG7B
@@ -318,8 +317,9 @@ def test_eof_strictly_monotone_in_concurrence():
 
 
 def test_entanglement_of_formation_bell():
-    assert entanglement_of_formation(BELL) == pytest.approx(1.0, abs=1e-9)
-    assert entanglement_of_formation(ground_state()) == 0.0
+    bell, ground = correlation_records(np.stack([BELL, ground_state()])).eof
+    assert bell == pytest.approx(1.0, abs=1e-9)
+    assert ground == 0.0
 
 
 # ------------------------------------------------------ X-state closed forms

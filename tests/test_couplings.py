@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ecsim import (EmitterGeometry, GeometryError, collective_decay,
-                   coupling_strength, couplings, small_separation_limit)
+                   coupling_strength, couplings)
 from helpers import random_unit_vector
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -102,16 +102,14 @@ def test_collective_decay_series_matches_direct_at_cutoff():
 
 
 def test_small_separation_limit_agrees_with_full():
+    # quasi-static limit r12 << lambda0: V -> (3/4) sqrt(Gamma1 Gamma2)
+    # (mu1.mu2 - 3 (mu1.r)(mu2.r)) / z^3 and gamma -> sqrt(Gamma1 Gamma2) mu1.mu2;
+    # here mu1.mu2 = 1 and mu.r = 0
     geo = perp_geometry(0.02)
-    limit = small_separation_limit(geo)
-    assert limit.gamma == 1.0
+    limit_v = 0.75 / geo.z**3
     full_v = coupling_strength(geo)
-    assert abs(limit.V - full_v) / full_v < 0.05
-
-
-def test_small_separation_limit_window_enforced():
-    with pytest.raises(GeometryError):
-        small_separation_limit(perp_geometry(0.2))
+    assert abs(limit_v - full_v) / full_v < 0.05
+    assert collective_decay(geo) == pytest.approx(1.0, abs=0.01)
 
 
 def test_couplings_bundle():
@@ -134,8 +132,7 @@ def test_geometry_rejects_non_finite(field, value):
 
 
 @pytest.mark.parametrize("call, separation, name", [
-    (couplings, 1e308, "z"), (couplings, 1e-110, "V"), (couplings, 1e-320, "V"),
-    (small_separation_limit, 1e-320, "V")])
+    (couplings, 1e308, "z"), (couplings, 1e-110, "V"), (couplings, 1e-320, "V")])
 def test_extreme_separation_is_geometry_error(call, separation, name):
     # z overflows, or the 1/z^3 term of V does: one GeometryError naming the
     # separation, raised before numpy warns

@@ -10,10 +10,10 @@ import ecsim.dynamics
 from ecsim import (AlphaState, AnalyticFormError, NonPhysicalStateError,
                    NumericsError, PropagationError, SystemParams, analytic_evolution,
                    build_bell_diagonal, build_hamiltonian, bell_ket, density_from_ket,
-                   doubly_excited_state, ground_state, lindblad_rhs,
+                   correlation_records, doubly_excited_state, ground_state,
                    liouvillian, partial_trace, propagate, stationary_state,
                    validate_state)
-from helpers import random_density_matrix
+from helpers import lindblad_rhs, random_density_matrix
 
 
 def test_hamiltonian_trivial_cases():
@@ -134,7 +134,8 @@ def test_propagate_coarse_sampling_of_long_driven_run():
 
 
 def test_propagate_matches_independent_integration(rng):
-    # the ODE route through lindblad_rhs shares no code with liouvillian/expm
+    # the ODE route through the helpers' lindblad_rhs shares no code with
+    # build_hamiltonian, liouvillian or expm
     p = SystemParams(V=1.3, gamma=0.35, Gamma1=1.0, Gamma2=0.6,
                      delta_minus=0.45, delta_plus=-0.7, ell1=1.1, ell2=0.4)
     rho0 = random_density_matrix(rng)
@@ -145,6 +146,70 @@ def test_propagate_matches_independent_integration(rng):
     assert sol.success
     reference = sol.y.T.reshape(-1, 4, 4)
     assert np.abs(result.states - reference).max() < 1e-8
+
+
+# uncoupled emitters (V = gamma = 0) with unequal rates, drives and detunings
+_UNCOUPLED = (dict(Gamma1=1.0, Gamma2=0.6, delta_plus=0.3, delta_minus=0.8,
+                   ell1=1.1, ell2=0.4),
+              dict(Gamma1=0.7, Gamma2=1.3, delta_plus=-0.5, delta_minus=0.2,
+                   ell1=0.25, ell2=2.0),
+              dict(Gamma1=1.0, Gamma2=2.5, delta_plus=0.0, delta_minus=-1.5,
+                   ell1=3.0, ell2=0.6))
+
+
+def _atom_terms(fields):
+    """(Gamma, detuning from the laser, ell) of emitters A and B: the detunings
+    nu_i - nu_L follow from delta_plus = (nu1 + nu2)/2 - nu_L and
+    delta_minus = nu1 - nu2."""
+    return ((fields["Gamma1"], fields["delta_plus"] + 0.5 * fields["delta_minus"],
+             fields["ell1"]),
+            (fields["Gamma2"], fields["delta_plus"] - 0.5 * fields["delta_minus"],
+             fields["ell2"]))
+
+
+def _atom_generator(rate, detuning, ell):
+    """4x4 generator on the row-major 2x2 state of one driven, decaying
+    two-level atom: H = detuning |1><1| + ell (|1><0| + |0><1|), decay at rate."""
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    h = detuning * lower.T @ lower + ell * (lower + lower.T)
+
+    def rhs(rho):
+        return (-1j * (h @ rho - rho @ h)
+                + rate * (lower @ rho @ lower.T
+                          - 0.5 * (lower.T @ lower @ rho + rho @ lower.T @ lower)))
+
+    return np.stack([rhs(unit).ravel() for unit in np.eye(4).reshape(4, 2, 2)], axis=1)
+
+
+def test_uncoupled_driven_emitters_evolve_as_independent_atoms(rng):
+    # an oracle for the drive and detuning conventions that builds nothing
+    # from liouvillian or build_hamiltonian: without coupling the pair stays
+    # a product of two single-atom evolutions, and carries no correlations
+    samples = []
+    for fields in _UNCOUPLED:
+        factors = [random_density_matrix(rng, 2) for _ in range(2)]
+        result = propagate(np.kron(*factors), SystemParams(V=0.0, gamma=0.0, **fields),
+                           8.0, 81)
+        generators = [_atom_generator(*terms) for terms in _atom_terms(fields)]
+        for t, rho in zip(result.times, result.states):
+            atoms = [(expm(g * t) @ f.ravel()).reshape(2, 2)
+                     for g, f in zip(generators, factors)]
+            assert np.abs(rho - np.kron(*atoms)).max() < 1e-13
+        samples.append(result.states)
+    rec = correlation_records(np.concatenate(samples))
+    for values in (rec.mi, rec.cc, np.abs(rec.qd), rec.concurrence):
+        assert values.max() <= 1e-13
+
+
+def test_uncoupled_stationary_populations_follow_torrey():
+    # steady excited population of a driven two-level atom,
+    # ell^2 / (Gamma^2/4 + detuning^2 + 2 ell^2) (Rabi frequency 2 ell)
+    for fields in _UNCOUPLED:
+        rho = stationary_state(SystemParams(V=0.0, gamma=0.0, **fields))
+        excited = (rho[2, 2] + rho[3, 3], rho[1, 1] + rho[3, 3])   # A, B
+        for population, (rate, detuning, ell) in zip(excited, _atom_terms(fields)):
+            torrey = ell**2 / (rate**2 / 4.0 + detuning**2 + 2.0 * ell**2)
+            assert abs(population.real - torrey) <= 1e-14
 
 
 def test_propagate_doubling_fill_matches_step_loop(rng):

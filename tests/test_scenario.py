@@ -1,4 +1,5 @@
 """Scenario parsing, the run pipeline, and CSV output guarantees."""
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ecsim.scenario as scenario_mod
-from ecsim import GeometryError, Scenario, ScenarioError, parse_scenario, run_scenario
+from ecsim import (GeometryError, Scenario, ScenarioError, conditional_entropy,
+                   load_geometry, load_scenario, parse_scenario, run_scenario)
 from ecsim.scenario import _apply_scan_point, parse_flat_config
 
 BASE = """
@@ -216,17 +218,53 @@ def test_distance_scan_default_window():
     assert s.scan.stop == 0.4
 
 
-def test_shipped_scenarios_parse():
-    import pathlib
+SHIPPED = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+PINNED = pathlib.Path(__file__).resolve().parent / "data"
 
-    from ecsim import load_geometry, load_scenario
-    root = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+
+def test_shipped_scenarios_parse():
     for name in ("sudden_birth.cfg", "subradiant_bell.cfg",
                  "driven_stationary.cfg", "distance_scan.cfg"):
-        scenario = load_scenario(str(root / name))
+        scenario = load_scenario(str(SHIPPED / name))
         assert scenario.sample_count >= 2
-    geometry = load_geometry(str(root / "geometry.cfg"))
+    geometry = load_geometry(str(SHIPPED / "geometry.cfg"))
     assert geometry.r12_over_lambda0 == 0.108
+
+
+@pytest.mark.parametrize("name", ["sudden_birth", "driven_stationary",
+                                  "subradiant_bell", "distance_scan"])
+def test_shipped_scenario_outputs_are_pinned(monkeypatch, name):
+    # data/<name>.csv is the committed output of scenarios/<name>.cfg. The
+    # scan value and t must match exactly and MI, CC, QD, C, EoF within
+    # 1e-12. theta_m and phi_m are compared as measurements, not as labels:
+    # the conditional entropy at the pinned and at the new angles must agree
+    # within 1e-12, so a mirror relabel or a flat-phi row passes and a
+    # different measurement fails. A change that moves outputs on purpose
+    # regenerates the files
+    searched, records = [], scenario_mod.correlation_records
+
+    def capture(rhos):
+        searched.append(rhos)
+        return records(rhos)
+
+    monkeypatch.setattr(scenario_mod, "correlation_records", capture)
+    table = run_scenario(load_scenario(str(SHIPPED / f"{name}.cfg")))
+    header, *pinned = (line.split(",") for line in
+                       (PINNED / f"{name}.csv").read_text(encoding="utf-8").splitlines())
+    assert table.header == tuple(header)
+    got, want = np.array(table.rows), np.array(pinned)
+    assert got.shape == want.shape
+    labels = header.index("t") + 1           # the scan value, if any, then t
+    assert (got[:, :labels] == want[:, :labels]).all()
+    measures = slice(labels, labels + 5)
+    assert np.abs(got[:, measures].astype(float)
+                  - want[:, measures].astype(float)).max() <= 1e-12
+    angles = slice(labels + 5, labels + 7)
+    (rhos,) = searched
+    for rho, new, old in zip(rhos, got[:, angles].astype(float),
+                             want[:, angles].astype(float)):
+        at_new, at_old = conditional_entropy(rho, *np.transpose([new, old]))
+        assert abs(at_new - at_old) <= 1e-12
 
 
 _KEYS = (["initial.kind", "initial.alpha", "initial.phi"]
