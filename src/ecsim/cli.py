@@ -51,18 +51,13 @@ def _emit(table, output):
         sys.stdout.write(text)
 
 
-def _cmd_evolve(args) -> int:
+def _cmd_run(args) -> int:
+    """evolve or scan: a scan section is required by scan, refused by evolve."""
     scenario = load_scenario(args.scenario)
-    if scenario.scan is not None:
-        raise ScenarioError("scenario has a scan section; use `ecsim scan`")
-    _emit(run_scenario(scenario), args.output)
-    return 0
-
-
-def _cmd_scan(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if scenario.scan is None:
-        raise ScenarioError("scenario has no scan section; use `ecsim evolve`")
+    has_scan = scenario.scan is not None
+    if has_scan != (args.command == "scan"):
+        raise ScenarioError("scenario has a scan section; use `ecsim scan`" if has_scan
+                            else "scenario has no scan section; use `ecsim evolve`")
     _emit(run_scenario(scenario), args.output)
     return 0
 
@@ -79,10 +74,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "evolve":
-            return _cmd_evolve(args)
-        if args.command == "scan":
-            return _cmd_scan(args)
+        if args.command in ("evolve", "scan"):
+            return _cmd_run(args)
         if args.command == "couplings":
             return _cmd_couplings(args)
         if args.command == "verify":

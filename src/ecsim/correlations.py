@@ -89,8 +89,10 @@ def conditional_entropy(rho: np.ndarray, theta_m, phi_m):
 #
 # For a projector |v><v| on B the unnormalized conditional operator of A is
 # M[a,a'] = sum_{b,b'} conj(v_b) rho_{ab,a'b'} v_{b'}; with rho reordered to a
-# (b,b') x (a,a') matrix this is one (...,4) @ (4,4) product per branch, and
-# the 2x2 eigenvalues come from trace and determinant in closed form.
+# (b,b') x (a,a') matrix this is one (...,4) @ (4,4) product per measurement
+# point. The two projectors sum to the identity, so outcome b's operator is
+# rho_A - M, and each outcome's p S comes from the trace and determinant of
+# its 2x2 operator in closed form.
 # ---------------------------------------------------------------------------
 
 def _reorder(rhos: np.ndarray) -> np.ndarray:
@@ -100,54 +102,50 @@ def _reorder(rhos: np.ndarray) -> np.ndarray:
             .reshape(rhos.shape))
 
 
-def _branch_vectors(thetas, phis):
-    ct, st = np.cos(thetas), np.sin(thetas)
-    ep = np.exp(1j * phis)
-    va = np.stack([ct + 0j, ep * st], axis=-1)
-    vb = np.stack([np.conj(ep) * st, -ct + 0j], axis=-1)
-    return va, vb
-
-
 def _measurement_weights(thetas, phis):
-    """|v><v| of outcomes a and b at each (theta, phi), flattened to (..., 4)."""
-    return tuple((v[..., :, None].conj() * v[..., None, :]).reshape(v.shape[:-1] + (4,))
-                 for v in _branch_vectors(thetas, phis))
+    """|v><v| of outcome a, v = (cos theta, e^{i phi} sin theta), at each
+    (theta, phi), flattened to (..., 4)."""
+    v = np.stack([np.cos(thetas) + 0j, np.exp(1j * phis) * np.sin(thetas)], axis=-1)
+    return (v[..., :, None].conj() * v[..., None, :]).reshape(v.shape[:-1] + (4,))
+
+
+def _xlogx(x):
+    # the floor only keeps the log finite: 0 log 0 = 0
+    return x * np.log(np.maximum(x, 1e-300))
 
 
 def _branch_entropy(m):
     """p S(rho_A | outcome) in bits from unnormalized conditional operators
-    m (..., 4) of A, flattened row-major."""
+    m (..., 4) of A, flattened row-major: with t = tr m and eigenvalues
+    l+ + l- = t, p S = (t ln t - l+ ln l+ - l- ln l-)/ln 2, and 0 where
+    t <= 1e-14."""
     tr = np.real(m[..., 0] + m[..., 3])
     det = np.real(m[..., 0] * m[..., 3] - m[..., 1] * m[..., 2])
-    disc = np.sqrt(np.clip(tr * tr - 4.0 * det, 0.0, None))
-    valid = tr > _ZERO_PROB
-    tr_safe = np.where(valid, tr, 1.0)
-    branch = np.zeros_like(tr)
-    for lam in (0.5 * (tr + disc), 0.5 * (tr - disc)):
-        x = np.clip(lam / tr_safe, 0.0, 1.0)
-        branch += np.where(x > 0.0, -x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
-    return np.where(valid, tr * branch / _LN2, 0.0)
+    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+    total = _xlogx(tr)
+    total -= _xlogx(0.5 * (tr + disc))
+    total -= _xlogx(np.maximum(0.5 * (tr - disc), 0.0))
+    return np.where(tr > _ZERO_PROB, total / _LN2, 0.0)
 
 
-def _cond_entropy_from_weights(reordered, weights):
+def _cond_entropy(reordered, weights):
     """Conditional entropy for `weights` from `_measurement_weights`; `reordered`
     is (4,4) or (S,4,4) broadcasting against their leading axes."""
-    return sum(_branch_entropy(w @ reordered) for w in weights)
-
-
-def _cond_entropy_values(reordered, thetas, phis):
-    """Conditional entropy at each (theta, phi); `reordered` is (4,4) or (S,4,4)
-    broadcasting against leading axes of `thetas`/`phis`."""
-    return _cond_entropy_from_weights(reordered, _measurement_weights(thetas, phis))
+    m = weights @ reordered
+    # the (b,b') = (0,0) and (1,1) rows sum to rho_A = M_a + M_b
+    rho_a = np.expand_dims(reordered[..., 0, :] + reordered[..., 3, :], -2)
+    value = _branch_entropy(m)
+    # outcome b in place: a second operator array would raise the seed's peak
+    return value + _branch_entropy(np.subtract(rho_a, m, out=m))
 
 
 # Outcome b at (theta, phi) is outcome a at (pi/2 - theta, phi + pi), so grid
 # rows 32-63 repeat the measurements of rows 0-31 with the outcomes swapped:
 # the seed scans rows 0-31 only. States go in blocks of 4, which keeps the
-# temporaries near 1.5 MiB per thread. `weights @ block` makes one
-# (2048,4) @ (4,4) product per state, which BLAS runs on the calling thread;
-# a single (2048,4) @ (4,16) product per block goes to BLAS worker threads,
-# whose hand-off costs more than the product.
+# tracemalloc peak of a 400-state search near 1.3 MiB. `weights @ block`
+# makes one (2048,4) @ (4,4) product per state, which BLAS runs on the calling
+# thread; a single (2048,4) @ (4,16) product per block goes to BLAS worker
+# threads, whose hand-off costs more than the product.
 _SEED_BLOCK = 4
 
 
@@ -159,7 +157,7 @@ def _seed_grid():
     th_grid, ph_grid = np.meshgrid(th_axis, ph_axis, indexing="ij")
     th_flat, ph_flat = th_grid.ravel(), ph_grid.ravel()
     weights = _measurement_weights(th_flat, ph_flat)
-    for array in (th_flat, ph_flat, *weights):
+    for array in (th_flat, ph_flat, weights):
         array.flags.writeable = False
     return th_flat, ph_flat, weights
 
@@ -173,7 +171,7 @@ def _grid_seed(reordered):
     best_th = np.empty(count)
     best_ph = np.empty(count)
     for start in range(0, count, _SEED_BLOCK):
-        vals = _cond_entropy_from_weights(reordered[start:start + _SEED_BLOCK], weights)
+        vals = _cond_entropy(reordered[start:start + _SEED_BLOCK], weights)
         k = np.argmin(vals, axis=1)
         stop = start + k.size
         best[start:stop] = vals[np.arange(k.size), k]
@@ -211,7 +209,7 @@ def _minimize_batch(rhos: np.ndarray):
         cand_ph[pole] = ph[pole, None] + _POLE_AZIMUTHS
         cand_th = np.clip(cand_th, 0.0, np.pi / 2)
         cand_ph = np.mod(cand_ph, 2.0 * np.pi)
-        vals = _cond_entropy_values(reordered[idx], cand_th, cand_ph)
+        vals = _cond_entropy(reordered[idx], _measurement_weights(cand_th, cand_ph))
         j = np.argmin(vals, axis=1)
         cand_best = vals[np.arange(len(idx)), j]
         improved = cand_best < best[idx] - 1e-15

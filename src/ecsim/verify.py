@@ -1,7 +1,6 @@
 """Regression harness: the ten release gates, runnable via `ecsim verify` or the
 test suite. Each check prints expected/got/tolerance lines and an overall verdict.
 """
-import sys
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -452,10 +451,9 @@ def run_check(name: str) -> CheckResult:
     raise KeyError(f"no check named {name!r}")
 
 
-def run_all(name_filter: str = "", stream=None) -> bool:
-    """Run (filtered) checks, print a report, return True when all passed.
-    A filter that matches no check raises ValueError."""
-    stream = stream or sys.stdout
+def run_all(name_filter: str = "") -> bool:
+    """Run (filtered) checks, print a report to stdout, return True when all
+    passed. A filter that matches no check raises ValueError."""
     names = [fn.__name__.removeprefix("check_") for fn in CHECKS]
     selected = [name for name in names if name_filter in name]
     if not selected:
@@ -463,8 +461,7 @@ def run_all(name_filter: str = "", stream=None) -> bool:
     all_ok = True
     for pos, name in enumerate(selected, start=1):
         result = run_check(name)
-        print(f"[{pos}/{len(selected)}] {result}", file=stream)
+        print(f"[{pos}/{len(selected)}] {result}")
         all_ok = all_ok and result.passed
-    print("verify: ALL CHECKS PASSED" if all_ok else "verify: FAILURES PRESENT",
-          file=stream)
+    print("verify: ALL CHECKS PASSED" if all_ok else "verify: FAILURES PRESENT")
     return all_ok

@@ -14,8 +14,9 @@ from ecsim import (AlphaState, NumericsError, SystemParams, XStructureError,
                    ground_state, liouvillian, mutual_information, partial_trace,
                    propagate, stationary_state, von_neumann_entropy,
                    xstate_concurrence, xstate_conditional_entropy_branches)
-from ecsim.correlations import (GRID_SHAPE, _cond_entropy_values, _grid_seed,
-                                _minimize_batch, _reorder)
+from ecsim.correlations import (GRID_SHAPE, _branch_entropy, _cond_entropy,
+                                _grid_seed, _measurement_weights, _minimize_batch,
+                                _reorder)
 from ecsim.verify import FIG7B
 from helpers import (oracle_conditional_entropy, oracle_min_conditional_entropy,
                      random_density_matrix, random_pure_ket, random_unitary)
@@ -202,14 +203,41 @@ def test_optimizer_leaves_chart_pole(params, alpha, phi, t_final, samples, k):
 
 
 def test_cond_entropy_mirror_symmetry(rng):
-    # outcome b at (theta, phi) is outcome a at (pi/2 - theta, phi + pi)
+    # outcome b at (theta, phi) is outcome a at (pi/2 - theta, phi + pi): the
+    # kernel takes outcome b as rho_A - M_a, the mirror point as a direct projector
     thetas = rng.uniform(0.0, np.pi / 2, 200)
     phis = rng.uniform(0.0, 2.0 * np.pi, 200)
+    weights = _measurement_weights(thetas, phis)
+    mirror = _measurement_weights(np.pi / 2 - thetas, phis + np.pi)
+    assert np.abs(weights + mirror - np.array([1, 0, 0, 1])).max() <= 1e-15
     for _ in range(10):
         reordered = _reorder(random_density_matrix(rng))
-        direct = _cond_entropy_values(reordered, thetas, phis)
-        mirrored = _cond_entropy_values(reordered, np.pi / 2 - thetas, phis + np.pi)
+        direct = _cond_entropy(reordered, weights)
+        mirrored = _cond_entropy(reordered, mirror)
         assert np.abs(direct - mirrored).max() <= 1e-14
+
+
+def test_branch_entropy_closed_form(rng):
+    # p S from trace and determinant against p sum -x log2 x over the
+    # eigenvalues lambda of m, x = lambda/p
+    def reference(op):
+        lam = np.clip(np.linalg.eigvalsh(op), 0.0, None)
+        x = lam[lam > 0.0] / lam.sum()
+        return -lam.sum() * (x * np.log2(x)).sum()
+
+    ops = []
+    for scale in (1.0, 1e-3, 1e-8, 1e-13):
+        ops += [scale * random_density_matrix(rng, 2) for _ in range(50)]
+        ops += [scale * density_from_ket(random_pure_ket(rng, 2)) for _ in range(10)]
+        ops.append(scale * np.eye(2) / 2)
+    value = _branch_entropy(np.stack(ops).reshape(-1, 4))
+    assert np.abs(value - [reference(op) for op in ops]).max() <= 1e-14
+    # exact zeros: no probability (trace 1e-14 exactly, and below), and a pure
+    # diagonal conditional state
+    empty = [0.5e-14 * np.eye(2)] + [scale * random_density_matrix(rng, 2)
+                                     for scale in (1e-15, 0.0)]
+    pure = [np.diag(d) for p in (1.0, 0.3, 1e-8, 1e-13) for d in ((p, 0.0), (0.0, p))]
+    assert (_branch_entropy(np.stack(empty + pure).reshape(-1, 4) + 0j) == 0.0).all()
 
 
 def test_half_grid_seed_matches_full_grid(rng):
@@ -223,11 +251,13 @@ def test_half_grid_seed_matches_full_grid(rng):
     th_axis = np.linspace(0.0, np.pi / 2, GRID_SHAPE[0])
     ph_axis = np.linspace(0.0, 2.0 * np.pi, GRID_SHAPE[1], endpoint=False)
     th_grid, ph_grid = np.meshgrid(th_axis, ph_axis, indexing="ij")
-    full = _cond_entropy_values(reordered, th_grid.ravel(), ph_grid.ravel())
+    full = _cond_entropy(reordered,
+                         _measurement_weights(th_grid.ravel(), ph_grid.ravel()))
     seed, seed_th, seed_ph = _grid_seed(reordered)
     assert np.abs(seed - full.min(axis=1)).max() <= 1e-13
     assert (seed_th < np.pi / 4).all()
-    at_seed = _cond_entropy_values(reordered, seed_th[:, None], seed_ph[:, None])
+    at_seed = _cond_entropy(reordered,
+                            _measurement_weights(seed_th[:, None], seed_ph[:, None]))
     assert np.abs(at_seed[:, 0] - seed).max() <= 1e-14
 
 
