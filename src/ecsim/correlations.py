@@ -87,26 +87,37 @@ def conditional_entropy(rho: np.ndarray, theta_m, phi_m):
 # ---------------------------------------------------------------------------
 # vectorized measurement search
 #
-# For a projector |v><v| on B the unnormalized conditional operator of A is
-# M[a,a'] = sum_{b,b'} conj(v_b) rho_{ab,a'b'} v_{b'}; with rho reordered to a
-# (b,b') x (a,a') matrix this is one (...,4) @ (4,4) product per measurement
-# point. The two projectors sum to the identity, so outcome b's operator is
-# rho_A - M, and each outcome's p S comes from the trace and determinant of
-# its 2x2 operator in closed form.
+# For a projector |v><v| on B, v = (c, e^{i phi} s) with c = cos theta and
+# s = sin theta, the unnormalized conditional operator of A is
+# M = sum_{b,b'} conj(v_b) v_{b'} R_{bb'}, with R_{bb'}[a,a'] = rho_{ab,a'b'}:
+# M = c^2 R_00 + s^2 R_11 + cs cos(phi) (R_01 + R_10) + cs sin(phi) i(R_01 - R_10).
+# All four terms are Hermitian, so each is four reals (H_00, H_11, Re H_01,
+# Im H_01), and M is one real (4,4) @ (4,P) product per state that leaves each
+# operator component in one contiguous row. The two projectors sum to the
+# identity, so outcome b's operator is rho_A - M, and each outcome's p S comes
+# from the trace and eigenvalue gap of its 2x2 operator in closed form.
 # ---------------------------------------------------------------------------
 
 def _reorder(rhos: np.ndarray) -> np.ndarray:
-    """(..., 4, 4) states as (..., 4, 4) matrices indexed by (b, b') x (a, a')."""
-    rhos = np.asarray(rhos, dtype=complex)
-    return (rhos.reshape(-1, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3)
-            .reshape(rhos.shape))
+    """(..., 4, 4) states as real (..., 4, 4) kernels K[component, weight]:
+    weight columns R_00, R_11, R_01 + R_10 and i(R_01 - R_10), each as its
+    components (H_00, H_11, Re H_01, Im H_01)."""
+    r = np.asarray(rhos, dtype=complex)
+    r = r.reshape(r.shape[:-2] + (2, 2, 2, 2))  # [..., a, b, a', b']
+    r01, r10 = r[..., :, 0, :, 1], r[..., :, 1, :, 0]
+    ops = np.stack([r[..., :, 0, :, 0], r[..., :, 1, :, 1], r01 + r10,
+                    1j * (r01 - r10)], axis=-3)
+    return np.stack([ops[..., 0, 0].real, ops[..., 1, 1].real,
+                     ops[..., 0, 1].real, ops[..., 0, 1].imag], axis=-2)
 
 
 def _measurement_weights(thetas, phis):
-    """|v><v| of outcome a, v = (cos theta, e^{i phi} sin theta), at each
-    (theta, phi), flattened to (..., 4)."""
-    v = np.stack([np.cos(thetas) + 0j, np.exp(1j * phis) * np.sin(thetas)], axis=-1)
-    return (v[..., :, None].conj() * v[..., None, :]).reshape(v.shape[:-1] + (4,))
+    """Real weights (c^2, s^2, cs cos phi, cs sin phi) of outcome a,
+    v = (cos theta, e^{i phi} sin theta), stacked on axis -2: angles of shape
+    (..., n) give (..., 4, n)."""
+    c, s = np.cos(thetas), np.sin(thetas)
+    cs = c * s
+    return np.stack([c * c, s * s, cs * np.cos(phis), cs * np.sin(phis)], axis=-2)
 
 
 def _xlogx(x):
@@ -116,24 +127,28 @@ def _xlogx(x):
 
 def _branch_entropy(m):
     """p S(rho_A | outcome) in bits from unnormalized conditional operators
-    m (..., 4) of A, flattened row-major: with t = tr m and eigenvalues
-    l+ + l- = t, p S = (t ln t - l+ ln l+ - l- ln l-)/ln 2, and 0 where
-    t <= 1e-14."""
-    tr = np.real(m[..., 0] + m[..., 3])
-    det = np.real(m[..., 0] * m[..., 3] - m[..., 1] * m[..., 2])
-    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+    of A given as components (m_00, m_11, Re m_01, Im m_01) on axis -2: with
+    t = m_00 + m_11 and eigenvalues l+- = (t +- g)/2, g = 2 sqrt(((m_00 -
+    m_11)/2)^2 + |m_01|^2), p S = (t ln t - l+ ln l+ - l- ln l-)/ln 2, and 0
+    where t <= 1e-14. g is a sum of squares, so it needs no clamp, where
+    sqrt(t^2 - 4 det) loses half its digits near a degenerate operator."""
+    m00, m11, re, im = (m[..., k, :] for k in range(4))
+    tr = m00 + m11
+    half = 0.5 * (m00 - m11)
+    half_gap = np.sqrt(half * half + re * re + im * im)
     total = _xlogx(tr)
-    total -= _xlogx(0.5 * (tr + disc))
-    total -= _xlogx(np.maximum(0.5 * (tr - disc), 0.0))
+    total -= _xlogx(0.5 * tr + half_gap)
+    total -= _xlogx(np.maximum(0.5 * tr - half_gap, 0.0))
     return np.where(tr > _ZERO_PROB, total / _LN2, 0.0)
 
 
-def _cond_entropy(reordered, weights):
-    """Conditional entropy for `weights` from `_measurement_weights`; `reordered`
-    is (4,4) or (S,4,4) broadcasting against their leading axes."""
-    m = weights @ reordered
-    # the (b,b') = (0,0) and (1,1) rows sum to rho_A = M_a + M_b
-    rho_a = np.expand_dims(reordered[..., 0, :] + reordered[..., 3, :], -2)
+def _cond_entropy(kernel, weights):
+    """Conditional entropy for `weights` from `_measurement_weights`; `kernel`
+    from `_reorder` is (4,4) or (S,4,4), broadcasting against their leading
+    axes."""
+    m = kernel @ weights
+    # weight columns R_00 and R_11 sum to rho_A = M_a + M_b
+    rho_a = (kernel[..., :, 0] + kernel[..., :, 1])[..., None]
     value = _branch_entropy(m)
     # outcome b in place: a second operator array would raise the seed's peak
     return value + _branch_entropy(np.subtract(rho_a, m, out=m))
@@ -141,11 +156,10 @@ def _cond_entropy(reordered, weights):
 
 # Outcome b at (theta, phi) is outcome a at (pi/2 - theta, phi + pi), so grid
 # rows 32-63 repeat the measurements of rows 0-31 with the outcomes swapped:
-# the seed scans rows 0-31 only. States go in blocks of 4, which keeps the
-# tracemalloc peak of a 400-state search near 1.3 MiB. `weights @ block`
-# makes one (2048,4) @ (4,4) product per state, which BLAS runs on the calling
-# thread; a single (2048,4) @ (4,16) product per block goes to BLAS worker
-# threads, whose hand-off costs more than the product.
+# the seed scans rows 0-31 only, whose theta = 0 row is one point: 1,985
+# points. States go in blocks of 4, whose (4,4,1985) operator array takes
+# 248 KiB, which keeps the tracemalloc peak of a 400-state search near
+# 0.85 MiB.
 _SEED_BLOCK = 4
 
 
@@ -155,23 +169,28 @@ def _seed_grid():
     th_axis = np.linspace(0.0, np.pi / 2, GRID_SHAPE[0])[:GRID_SHAPE[0] // 2]
     ph_axis = np.linspace(0.0, 2.0 * np.pi, GRID_SHAPE[1], endpoint=False)
     th_grid, ph_grid = np.meshgrid(th_axis, ph_axis, indexing="ij")
-    th_flat, ph_flat = th_grid.ravel(), ph_grid.ravel()
+    # row theta = 0 is one measurement, weights (1, 0, 0, 0), at every phi:
+    # its first point stands for all, as first-occurrence ties would pick it
+    keep = np.ones(th_grid.shape, dtype=bool)
+    keep[0, 1:] = False
+    th_flat, ph_flat = th_grid[keep], ph_grid[keep]
     weights = _measurement_weights(th_flat, ph_flat)
     for array in (th_flat, ph_flat, weights):
         array.flags.writeable = False
     return th_flat, ph_flat, weights
 
 
-def _grid_seed(reordered):
-    """Best point of the 64x64 grid for each of the (S, 4, 4) reordered states:
-    (values, thetas, phis), ties broken by first occurrence in rows 0-31."""
+def _grid_seed(kernels):
+    """Best point of the 64x64 grid for each of the (S, 4, 4) `_reorder`
+    kernels: (values, thetas, phis), ties broken by first occurrence in rows
+    0-31."""
     th_flat, ph_flat, weights = _seed_grid()
-    count = reordered.shape[0]
+    count = kernels.shape[0]
     best = np.empty(count)
     best_th = np.empty(count)
     best_ph = np.empty(count)
     for start in range(0, count, _SEED_BLOCK):
-        vals = _cond_entropy(reordered[start:start + _SEED_BLOCK], weights)
+        vals = _cond_entropy(kernels[start:start + _SEED_BLOCK], weights)
         k = np.argmin(vals, axis=1)
         stop = start + k.size
         best[start:stop] = vals[np.arange(k.size), k]
@@ -190,8 +209,8 @@ def _minimize_batch(rhos: np.ndarray):
     broken by first occurrence, and the search path is input-only.
     """
     count = rhos.shape[0]
-    reordered = _reorder(rhos)
-    best, best_th, best_ph = _grid_seed(reordered)
+    kernels = _reorder(rhos)
+    best, best_th, best_ph = _grid_seed(kernels)
 
     step = np.full(count, np.pi / 2 / (GRID_SHAPE[0] - 1))
     active = step > STEP_TOL
@@ -209,7 +228,7 @@ def _minimize_batch(rhos: np.ndarray):
         cand_ph[pole] = ph[pole, None] + _POLE_AZIMUTHS
         cand_th = np.clip(cand_th, 0.0, np.pi / 2)
         cand_ph = np.mod(cand_ph, 2.0 * np.pi)
-        vals = _cond_entropy(reordered[idx], _measurement_weights(cand_th, cand_ph))
+        vals = _cond_entropy(kernels[idx], _measurement_weights(cand_th, cand_ph))
         j = np.argmin(vals, axis=1)
         cand_best = vals[np.arange(len(idx)), j]
         improved = cand_best < best[idx] - 1e-15
@@ -340,7 +359,8 @@ def correlation_records(rho: np.ndarray) -> CorrelationRecord:
     min_cond, ths, phs = (a.reshape(lead) for a in _minimize_batch(rho.reshape(-1, 4, 4)))
     cs = concurrence(rho)
     fields = dict(mi=np.maximum(s_a + s_b - s_ab, 0.0),
-                  cc=np.maximum(s_a - min_cond, 0.0), qd=s_b - s_ab + min_cond,
+                  cc=np.maximum(s_a - min_cond, 0.0),
+                  qd=np.maximum(s_b - s_ab + min_cond, 0.0),
                   concurrence=cs, eof=eof_from_concurrence(cs),
                   theta_m=ths, phi_m=phs)
     return CorrelationRecord(**{name: states._float_or_array(value)

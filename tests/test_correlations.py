@@ -16,7 +16,7 @@ from ecsim import (AlphaState, NumericsError, SystemParams, XStructureError,
                    xstate_concurrence, xstate_conditional_entropy_branches)
 from ecsim.correlations import (GRID_SHAPE, _branch_entropy, _cond_entropy,
                                 _grid_seed, _measurement_weights, _minimize_batch,
-                                _reorder)
+                                _reorder, _seed_grid)
 from ecsim.verify import FIG7B
 from helpers import (oracle_conditional_entropy, oracle_min_conditional_entropy,
                      random_density_matrix, random_pure_ket, random_unitary)
@@ -99,9 +99,9 @@ def test_conditional_entropy_incoherent_mixture():
     assert value == pytest.approx(1.0 - I_INCOH, abs=1e-12)
 
 
-def test_conditional_entropy_matches_definition(rng):
-    # the Bloch form against the full-projection route, on Ginibre, pure, Bell,
-    # Bell-diagonal and X states, with both poles and the equator of the chart
+def definition_cases(rng):
+    """Ginibre, pure, Bell, Bell-diagonal and X states, and angles with both
+    poles and the equator of the chart."""
     rhos = ([random_density_matrix(rng) for _ in range(5)]
             + [density_from_ket(random_pure_ket(rng)) for _ in range(5)]
             + [density_from_ket(bell_ket(kind)) for kind in ("phi+", "phi-", "psi+", "psi-")]
@@ -110,11 +110,28 @@ def test_conditional_entropy_matches_definition(rng):
                for alpha, phi, t in ((0.3, 0.0, 0.8), (0.9, 2.0, 0.1), (0.5, np.pi, 4.0))])
     thetas = np.concatenate([[0.0, np.pi / 4, np.pi / 2], rng.uniform(0, np.pi / 2, 20)])
     phis = np.concatenate([[0.0, 1.0, 5.1], rng.uniform(0, 2 * np.pi, 20)])
+    return rhos, thetas, phis
+
+
+def test_conditional_entropy_matches_definition(rng):
+    # the Bloch form against the full-projection route
+    rhos, thetas, phis = definition_cases(rng)
     for rho in rhos:
         expected = oracle_conditional_entropy(rho, thetas, phis)
         assert np.abs(conditional_entropy(rho, thetas, phis) - expected).max() <= 1e-12
         grid = conditional_entropy(rho, thetas[:, None], phis)
         assert np.abs(grid - oracle_conditional_entropy(rho, thetas[:, None], phis)).max() <= 1e-12
+
+
+def test_search_kernel_matches_definition(rng):
+    # the search's real component kernel against the full-projection route;
+    # the hot loop carries no complex array
+    rhos, thetas, phis = definition_cases(rng)
+    for rho in rhos:
+        kernel = _reorder(rho)
+        assert kernel.dtype == np.float64
+        value = _cond_entropy(kernel, _measurement_weights(thetas, phis))
+        assert np.abs(value - oracle_conditional_entropy(rho, thetas, phis)).max() <= 1e-12
 
 
 # ------------------------------------------- classical correlations / QD
@@ -137,6 +154,12 @@ def test_quantum_discord_reference_states():
     assert qd[1] == pytest.approx(D_RHO_M, abs=1e-6)
     assert qd[1] == pytest.approx(0.547, abs=2e-3)
     assert qd[2] == pytest.approx(0.0, abs=1e-7)
+
+
+def test_quantum_discord_clamped_at_zero():
+    # a roundoff-size discord of a classical-quantum state is clamped like MI
+    # and CC, not printed as a negative zero
+    assert correlation_records(RHO_INCOH).qd == 0.0
 
 
 def test_quantum_discord_pure_states(rng):
@@ -209,11 +232,14 @@ def test_cond_entropy_mirror_symmetry(rng):
     phis = rng.uniform(0.0, 2.0 * np.pi, 200)
     weights = _measurement_weights(thetas, phis)
     mirror = _measurement_weights(np.pi / 2 - thetas, phis + np.pi)
-    assert np.abs(weights + mirror - np.array([1, 0, 0, 1])).max() <= 1e-15
+    assert weights.shape == (4, 200)
+    # the real weights (c^2, s^2, cs cos phi, cs sin phi) of the two sum to
+    # those of the identity
+    assert np.abs(weights + mirror - np.array([[1], [1], [0], [0]])).max() <= 1e-15
     for _ in range(10):
-        reordered = _reorder(random_density_matrix(rng))
-        direct = _cond_entropy(reordered, weights)
-        mirrored = _cond_entropy(reordered, mirror)
+        kernel = _reorder(random_density_matrix(rng))
+        direct = _cond_entropy(kernel, weights)
+        mirrored = _cond_entropy(kernel, mirror)
         assert np.abs(direct - mirrored).max() <= 1e-14
 
 
@@ -225,19 +251,25 @@ def test_branch_entropy_closed_form(rng):
         x = lam[lam > 0.0] / lam.sum()
         return -lam.sum() * (x * np.log2(x)).sum()
 
+    def components(ops):
+        # the kernel's (4, N) layout: rows m_00, m_11, Re m_01, Im m_01
+        ops = np.stack(ops)
+        return np.stack([ops[:, 0, 0].real, ops[:, 1, 1].real,
+                         ops[:, 0, 1].real, ops[:, 0, 1].imag])
+
     ops = []
     for scale in (1.0, 1e-3, 1e-8, 1e-13):
         ops += [scale * random_density_matrix(rng, 2) for _ in range(50)]
         ops += [scale * density_from_ket(random_pure_ket(rng, 2)) for _ in range(10)]
         ops.append(scale * np.eye(2) / 2)
-    value = _branch_entropy(np.stack(ops).reshape(-1, 4))
+    value = _branch_entropy(components(ops))
     assert np.abs(value - [reference(op) for op in ops]).max() <= 1e-14
     # exact zeros: no probability (trace 1e-14 exactly, and below), and a pure
     # diagonal conditional state
     empty = [0.5e-14 * np.eye(2)] + [scale * random_density_matrix(rng, 2)
                                      for scale in (1e-15, 0.0)]
     pure = [np.diag(d) for p in (1.0, 0.3, 1e-8, 1e-13) for d in ((p, 0.0), (0.0, p))]
-    assert (_branch_entropy(np.stack(empty + pure).reshape(-1, 4) + 0j) == 0.0).all()
+    assert (_branch_entropy(components(empty + pure)) == 0.0).all()
 
 
 def test_half_grid_seed_matches_full_grid(rng):
@@ -247,16 +279,21 @@ def test_half_grid_seed_matches_full_grid(rng):
              for params, alpha, phi, t_final, samples, k in POLE_CASES]
     rhos += [build_bell_diagonal(*h)
              for h in ((0.8, 0.8, -0.6), (0.0, 0.0, 0.6), (-1.0, -1.0, -1.0))]
-    reordered = _reorder(np.stack(rhos))
+    kernels = _reorder(np.stack(rhos))
     th_axis = np.linspace(0.0, np.pi / 2, GRID_SHAPE[0])
     ph_axis = np.linspace(0.0, 2.0 * np.pi, GRID_SHAPE[1], endpoint=False)
     th_grid, ph_grid = np.meshgrid(th_axis, ph_axis, indexing="ij")
-    full = _cond_entropy(reordered,
+    full = _cond_entropy(kernels,
                          _measurement_weights(th_grid.ravel(), ph_grid.ravel()))
-    seed, seed_th, seed_ph = _grid_seed(reordered)
+    seed, seed_th, seed_ph = _grid_seed(kernels)
     assert np.abs(seed - full.min(axis=1)).max() <= 1e-13
     assert (seed_th < np.pi / 4).all()
-    at_seed = _cond_entropy(reordered,
+    # the theta = 0 row is one measurement at every phi: one point stands for it
+    grid_th, grid_ph, _ = _seed_grid()
+    assert grid_th.size == 1985
+    assert grid_th[grid_th == 0.0].tolist() == [0.0]
+    assert grid_ph[grid_th == 0.0].tolist() == [0.0]
+    at_seed = _cond_entropy(kernels,
                             _measurement_weights(seed_th[:, None], seed_ph[:, None]))
     assert np.abs(at_seed[:, 0] - seed).max() <= 1e-14
 
