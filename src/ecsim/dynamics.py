@@ -25,6 +25,29 @@ SP2 = np.kron(_I2, _SP)
 SM2 = np.kron(_I2, _SM)
 _N1 = SP1 @ SM1
 _N2 = SP2 @ SM2
+# the five Hamiltonian terms, weighted by the first five generator coefficients:
+# detunings on the excitation numbers, the exchange coupling, and the drives
+_H_TERMS = np.stack((_N1, _N2, SP1 @ SM2 + SM1 @ SP2, SP1 + SM1, SP2 + SM2))
+
+
+def _commutator(h: np.ndarray) -> np.ndarray:
+    """Superoperator of -i[h, .] on column-stacked rho."""
+    return -1j * (np.kron(_I4, h) - np.kron(h.T, _I4))
+
+
+def _dissipator(anti: np.ndarray, jump_l: np.ndarray, jump_r: np.ndarray) -> np.ndarray:
+    """Superoperator of jump_l rho jump_r - {anti, rho}/2 on column-stacked rho."""
+    return -0.5 * (np.kron(anti.T, _I4) + np.kron(_I4, anti)
+                   - 2.0 * np.kron(jump_r.T, jump_l))
+
+
+# the generator is linear in its eight coefficients (_coefficients): the five
+# Hamiltonian commutators, then individual decay of A and B, then the sum of
+# the two collective cross terms
+_GENERATOR_TERMS = np.stack(
+    [_commutator(h) for h in _H_TERMS]
+    + [_dissipator(_N1, SM1, SP1), _dissipator(_N2, SM2, SP2),
+       _dissipator(SP1 @ SM2, SM1, SP2) + _dissipator(SP2 @ SM1, SM2, SP1)])
 
 
 @dataclass(frozen=True)
@@ -95,6 +118,16 @@ class EvolutionResult:
         return len(self.times)
 
 
+def _coefficients(params: SystemParams) -> np.ndarray:
+    """(d1, d2, V, ell1, ell2, Gamma1, Gamma2, gamma): the weights of
+    _GENERATOR_TERMS, the first five also those of _H_TERMS. d1, d2 =
+    delta_plus +- delta_minus/2 are the emitters' detunings from the laser."""
+    return np.array((params.delta_plus + 0.5 * params.delta_minus,
+                     params.delta_plus - 0.5 * params.delta_minus,
+                     params.V, params.ell1, params.ell2,
+                     params.Gamma1, params.Gamma2, params.gamma))
+
+
 def build_hamiltonian(params: SystemParams) -> np.ndarray:
     """Rotating-frame Hamiltonian (4x4 Hermitian, units of Gamma).
 
@@ -102,26 +135,18 @@ def build_hamiltonian(params: SystemParams) -> np.ndarray:
     coupling V connects |01> and |10>, and the resonant drive couples each
     emitter's ground and excited levels.
     """
-    d1 = params.delta_plus + 0.5 * params.delta_minus
-    d2 = params.delta_plus - 0.5 * params.delta_minus
-    h = d1 * _N1 + d2 * _N2
-    h = h + params.V * (SP1 @ SM2 + SM1 @ SP2)
-    h = h + params.ell1 * (SP1 + SM1) + params.ell2 * (SP2 + SM2)
-    return h
+    return np.tensordot(_coefficients(params)[:5], _H_TERMS, axes=1)
 
 
 def liouvillian(params: SystemParams) -> np.ndarray:
-    """16x16 generator acting on column-stacked rho: d vec(rho)/dt = L vec(rho)."""
-    h = build_hamiltonian(params)
-    lio = -1j * (np.kron(_I4, h) - np.kron(h.T, _I4))
-    # rate (jump_l rho jump_r - {anti, rho}/2): individual, then collective decay
-    for rate, anti, jump_l, jump_r in ((params.Gamma1, _N1, SM1, SP1),
-                                       (params.Gamma2, _N2, SM2, SP2),
-                                       (params.gamma, SP1 @ SM2, SM1, SP2),
-                                       (params.gamma, SP2 @ SM1, SM2, SP1)):
-        lio = lio - 0.5 * rate * (np.kron(anti.T, _I4) + np.kron(_I4, anti)
-                                  - 2.0 * np.kron(jump_r.T, jump_l))
-    return lio
+    """16x16 generator acting on column-stacked rho: d vec(rho)/dt = L vec(rho).
+
+    L is linear in the eight coefficients (delta_plus +- delta_minus/2, V,
+    ell1, ell2, Gamma1, Gamma2, gamma): it is their combination of a fixed
+    table of superoperators built once at import, -i[H_k, .] for the five
+    Hamiltonian terms and the dissipators of individual and collective decay.
+    """
+    return np.tensordot(_coefficients(params), _GENERATOR_TERMS, axes=1)
 
 
 # Pade-13 numerator coefficients b_0..b_13 and the 1-norm up to which the
@@ -186,16 +211,17 @@ def propagate(rho0: np.ndarray, params: SystemParams, t_final: float,
 
     Parameters
     ----------
-    rho0 : initial density matrix (validated).
+    rho0 : initial density matrix; it is sample 0, validated with the others.
     params : master-equation coefficients.
     t_final : final time in 1/Gamma; samples cover [0, t_final].
     sample_count : number of samples, >= 2.
 
     Returns an EvolutionResult whose every sample satisfies the density-matrix
-    invariants; raises PropagationError otherwise.
+    invariants, checked by one validate_state call on the whole stack. Sample 0
+    is rho0 bit for bit, so a bad rho0 raises NonPhysicalStateError ("initial
+    state violates invariants"); any later failing sample, PropagationError.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    states.assert_physical(rho0, "initial state")
     if t_final <= 0.0:
         raise ValueError(f"t_final must be > 0, got {t_final}")
     if sample_count < 2:
@@ -217,11 +243,13 @@ def propagate(rho0: np.ndarray, params: SystemParams, t_final: float,
     report = states.validate_state(sampled)
     if not report.ok.all():
         k = int(np.argmin(report.ok))
+        defects = (f"hermiticity defect {report.hermiticity_defect[k]:.2e}, "
+                   f"trace defect {report.trace_defect[k]:.2e}, "
+                   f"min eigenvalue {report.min_eigenvalue[k]:.2e}")
+        if k == 0:
+            raise NonPhysicalStateError(f"initial state violates invariants: {defects}")
         raise PropagationError(
-            f"propagation diverged at sample {k} (t = {times[k]:.6g}): "
-            f"hermiticity defect {report.hermiticity_defect[k]:.2e}, "
-            f"trace defect {report.trace_defect[k]:.2e}, "
-            f"min eigenvalue {report.min_eigenvalue[k]:.2e}")
+            f"propagation diverged at sample {k} (t = {times[k]:.6g}): {defects}")
     return EvolutionResult(times=times, states=sampled)
 
 

@@ -158,6 +158,30 @@ def test_evolve_rejects_non_finite_input(tmp_path, capsys, text):
     assert "not finite" in capsys.readouterr().err
 
 
+NON_PSD_MATRIX = (MATRIX_SCENARIO
+                  .replace("initial.row0 = 1 0 0 0", "initial.row0 = 0.6 0 0 0")
+                  .replace("initial.row1 = 0 0 0 0", "initial.row1 = 0 0.5 0 0")
+                  .replace("initial.row2 = 0 0 0 0", "initial.row2 = 0 0 -0.1 0"))
+
+
+@pytest.mark.parametrize("command,text", [
+    ("evolve", NON_PSD_MATRIX),
+    ("scan", NON_PSD_MATRIX + "scan.axis = laser_amplitude\n"
+             "scan.start = 0\nscan.stop = 1\nscan.steps = 3\n"),
+], ids=["evolve", "laser-scan"])
+def test_non_psd_matrix_initial_state_exits_1(tmp_path, capsys, command, text):
+    # diag(0.6, 0.5, -0.1, 0) has unit trace but a negative eigenvalue: exit 1
+    # with one stderr line that names the initial state
+    scenario = tmp_path / "non_psd.cfg"
+    scenario.write_text(text)
+    assert main([command, str(scenario), "-o", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: initial state violates invariants: hermiticity defect 0.00e+00, "
+        "trace defect 0.00e+00, min eigenvalue -1.00e-01"]
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_evolve_rejects_too_many_states(tmp_path, capsys):
     scenario = tmp_path / "huge.cfg"
     scenario.write_text(FIG1_SCENARIO.replace("time.samples = 400",

@@ -1,6 +1,7 @@
 """Hamiltonian construction, Lindblad generator, propagation, closed forms."""
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -84,6 +85,27 @@ def test_liouvillian_matches_rhs(rng):
         assert np.allclose(direct, vectorized, atol=1e-13)
 
 
+def test_liouvillian_matches_rhs_over_random_parameters(rng):
+    # all eight coefficients distinct (Gamma1 != Gamma2, ell1 != ell2,
+    # delta_minus != 0, gamma of both signs), so a coefficient in the wrong
+    # slot of the generator changes its action on a random state
+    for k in range(50):
+        gamma1, gamma2 = rng.uniform(0.8, 1.2, 2)
+        gamma = (-1) ** k * rng.uniform(0.1, 0.9) * np.sqrt(gamma1 * gamma2)
+        delta_minus = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.5)
+        p = SystemParams(V=rng.uniform(0.5, 12.0), gamma=gamma, Gamma1=gamma1,
+                         Gamma2=gamma2, delta_minus=delta_minus,
+                         delta_plus=rng.uniform(-1.0, 1.0),
+                         ell1=rng.uniform(0.0, 10.0), ell2=rng.uniform(0.0, 10.0))
+        detunings = (p.delta_plus + 0.5 * delta_minus, p.delta_plus - 0.5 * delta_minus)
+        assert len({*detunings, p.V, p.ell1, p.ell2, gamma1, gamma2, gamma}) == 8
+        lio = liouvillian(p)
+        for _ in range(3):
+            rho = random_density_matrix(rng)
+            vectorized = (lio @ rho.reshape(16, order="F")).reshape(4, 4, order="F")
+            assert np.abs(vectorized - lindblad_rhs(rho, p)).max() <= 1e-12
+
+
 def test_propagate_ground_state_constant():
     p = SystemParams(V=2.0, gamma=0.9)
     result = propagate(ground_state(), p, 5.0, 20)
@@ -118,6 +140,28 @@ def test_propagate_rejects_bad_input():
         propagate(ground_state(), p, -1.0, 10)
     with pytest.raises(ValueError):
         propagate(ground_state(), p, 1.0, 1)
+
+
+def test_propagate_validates_once_with_initial_state_as_sample_zero(monkeypatch):
+    # one validate_state call per propagate covers rho0 too: a non-PSD rho0
+    # is still NonPhysicalStateError, also when the generator overflows
+    calls = []
+    exact = ecsim.states.validate_state
+    monkeypatch.setattr(ecsim.states, "validate_state",
+                        lambda rho: calls.append(np.shape(rho)) or exact(rho))
+    p = SystemParams(V=1.0, gamma=0.5, ell1=1.0, ell2=0.5)
+    propagate(ground_state(), p, 2.0, 9)
+    assert calls == [(9, 4, 4)]
+    bad = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
+    for params in (p, SystemParams(V=2.03, gamma=0.91, delta_minus=1e20)):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPhysicalStateError,
+                               match=r"^initial state violates invariants: .*"
+                                     r"min eigenvalue -1\.00e-01"):
+                propagate(bad, params, 2.0, 5)
+        assert calls == [(5, 4, 4)]
 
 
 def test_propagate_coarse_sampling_of_long_driven_run():
@@ -301,6 +345,16 @@ def test_expm_matches_scipy_over_benchmark_ranges(rng):
         assert (np.abs(ecsim.dynamics._expm(a) - reference).max()
                 <= 1e-13 * np.abs(reference).max())
     assert max(norms) > 100.0
+
+
+def test_expm_fig7b_step_matches_mpmath():
+    # one step of criterion 10's Fig. 7b trajectory (dt = 2, ||L dt||_1 = 126,
+    # 5 squarings) against a 40-digit exponential of the same float matrix
+    a = liouvillian(SystemParams(V=10.45, gamma=0.97, ell1=10.0, ell2=10.0)) * 2.0
+    with mpmath.workdps(40):
+        exact = mpmath.expm(mpmath.matrix(a.tolist()))
+        reference = np.array(exact.tolist(), dtype=complex)
+    assert np.abs(ecsim.dynamics._expm(a) - reference).max() <= 3e-15
 
 
 def test_expm_zero_and_defective_generators():
